@@ -72,12 +72,12 @@ def preprocess(c: Circuit) -> AccessIndex:
             mask = 1 << pos[g.var]
             for _, child in g.edges:
                 mask |= var_mask[child]
-            own = bin(mask).count("1")
+            own = mask.bit_count()
             running = 0
             counts: list[int] = []
             for _, child in g.edges:
                 # pad each branch with the variables it does not mention
-                gap = own - 1 - bin(var_mask[child]).count("1")
+                gap = own - 1 - var_mask[child].bit_count()
                 running += rel_count[child] * dsize**gap
                 counts.append(running)
             rel_count[gid], var_mask[gid] = running, mask
@@ -89,7 +89,7 @@ def preprocess(c: Circuit) -> AccessIndex:
 
 def count(c: Circuit, idx: AccessIndex) -> int:
     """Number of tuples of the circuit's relation over the full universe."""
-    free = len(c.universe) - bin(idx.var_mask[c.output]).count("1")
+    free = len(c.universe) - idx.var_mask[c.output].bit_count()
     return idx.rel_count[c.output] * len(c.domain) ** free
 
 
@@ -126,7 +126,7 @@ def frontier(c: Circuit, idx: AccessIndex, tau: Mapping[str, str]) -> Frontier:
         for i, gid in enumerate(gates):
             g = c.gates[gid]
             if isinstance(g, DecisionGate) and g.var in tau:
-                child = dict(g.edges).get(tau[g.var])
+                child = _edge_child(c, g, tau[g.var])
                 rest = gates[:i] + gates[i + 1:]
                 gates = None if child is None else _expand(c, [child])
                 if gates is not None:
@@ -136,11 +136,24 @@ def frontier(c: Circuit, idx: AccessIndex, tau: Mapping[str, str]) -> Frontier:
     return Frontier(gates)
 
 
+def _edge_child(c: Circuit, g: DecisionGate, value: str) -> int | None:
+    """Child behind the edge labelled ``value``, or ``None`` without one."""
+    if value not in c.domain:
+        return None
+    rank = c.domain.rank
+    i = bisect_left(g.edges, rank(value), key=lambda e: rank(e[0]))
+    if i < len(g.edges) and g.edges[i][0] == value:
+        return g.edges[i][1]
+    return None
+
+
 def _oracle(c: Circuit, idx: AccessIndex, gates: tuple[int, ...], p: int, n: int):
     """Smallest value for variable ``p`` reaching ``n`` extensions, and the
     count of extensions strictly below it.
 
-    Returns ``(value, below, decision_gate_or_None)``.
+    Returns ``(value, below, child)`` where ``child`` is the gate behind
+    the chosen edge of the frontier's decision gate on ``p``, or ``None``
+    when no frontier gate tests ``p``.
     """
     dsize = len(c.domain)
     x = c.universe.vars[p]
@@ -151,7 +164,7 @@ def _oracle(c: Circuit, idx: AccessIndex, gates: tuple[int, ...], p: int, n: int
         g = c.gates[gid]
         if isinstance(g, DecisionGate) and g.var == x:
             gate_on_x = gid
-    free_rest = (len(c.universe) - p) - bin(var_mask).count("1")
+    free_rest = (len(c.universe) - p) - var_mask.bit_count()
 
     if gate_on_x is not None:
         product = dsize**free_rest
@@ -166,7 +179,7 @@ def _oracle(c: Circuit, idx: AccessIndex, gates: tuple[int, ...], p: int, n: int
         if i == len(counts):
             raise OutOfRangeError("n exceeds the number of extensions")
         below = counts[i - 1] * product if i > 0 else 0
-        return idx.edge_values[gate_on_x][i], below, gate_on_x
+        return idx.edge_values[gate_on_x][i], below, (gate_on_x, idx.edge_children[gate_on_x][i])
 
     product = dsize ** (free_rest - 1)
     for gid in gates:
@@ -205,11 +218,11 @@ def direct_access(c: Circuit, idx: AccessIndex, k: int) -> Assignment:
     gates = _expand(c, [c.output])
     bound: dict[str, str] = {}
     for p in range(len(c.universe)):
-        value, below, gate_on_x = _oracle(c, idx, gates, p, k)
+        value, below, crossed = _oracle(c, idx, gates, p, k)
         bound[c.universe.vars[p]] = value
         k -= below
-        if gate_on_x is not None:
-            child = dict(c.gates[gate_on_x].edges)[value]
+        if crossed is not None:
+            gate_on_x, child = crossed
             rest = tuple(g for g in gates if g != gate_on_x)
             expanded = _expand(c, [child])
             if expanded is None:
@@ -238,14 +251,22 @@ def rank(c: Circuit, idx: AccessIndex, t: Mapping[str, str]) -> int:
     return lo
 
 
-def enumerate_answers(c: Circuit, idx: AccessIndex, start: int = 1, limit: int | None = None) -> Iterator[Assignment]:
-    """Stream answers ``start .. start+limit-1`` in lexicographic order."""
-    total = count(c, idx)
+def answer_window(total: int, start: int = 1, limit: int | None = None) -> range:
+    """Indices ``start .. start+limit-1``, checked against ``1..total``.
+
+    Without ``limit`` the window runs to the last answer.  Callers check
+    the window before producing any answer, so a bad window yields none.
+    """
     if limit is None:
         limit = max(0, total - start + 1)
     if limit == 0:
-        return
-    if start < 1 or start + limit - 1 > total:
-        raise OutOfRangeError(f"window outside 1..{total}")
-    for k in range(start, start + limit):
-        yield direct_access(c, idx, k)
+        return range(0)
+    if start < 1 or limit < 0 or start + limit - 1 > total:
+        raise OutOfRangeError(f"window {start}..{start + limit - 1} outside 1..{total}")
+    return range(start, start + limit)
+
+
+def enumerate_answers(c: Circuit, idx: AccessIndex, start: int = 1, limit: int | None = None) -> Iterator[Assignment]:
+    """Stream answers ``start .. start+limit-1`` in lexicographic order."""
+    window = answer_window(count(c, idx), start, limit)
+    return (direct_access(c, idx, k) for k in window)

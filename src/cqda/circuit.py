@@ -202,6 +202,9 @@ def semantics_bruteforce(c: Circuit, max_tuples: int = DEFAULT_MATERIALISE_BOUND
         missing = tuple(sorted(target - set(vars_now)))
         if not missing:
             return rows, vars_now
+        # padding is injective, so the size is known before building anything
+        if len(rows) * len(domain) ** len(missing) > max_tuples:
+            raise TooLargeError("materialised relation exceeds the configured bound")
         out = set()
         for row in rows:
             for extra in itertools.product(domain.values, repeat=len(missing)):

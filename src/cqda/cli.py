@@ -26,6 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import hypergraph as hg
+from .access import answer_window
 from .circuit import dump_circuit
 from .compiler import compile_binarized, dpll_compile
 from .errors import (
@@ -51,6 +52,8 @@ def database_from_dict(doc: dict) -> Database:
     if len(set(domain_values)) != len(domain_values):
         raise DatabaseFormatError("domain values must be distinct")
     domain = Domain(tuple(domain_values))
+    if not isinstance(doc["relations"], dict):
+        raise DatabaseFormatError("'relations' must be an object mapping names to relations")
     relations: dict[str, Relation] = {}
     for name, spec in doc["relations"].items():
         if not isinstance(spec, dict) or "arity" not in spec or "tuples" not in spec:
@@ -58,12 +61,14 @@ def database_from_dict(doc: dict) -> Database:
         arity = spec["arity"]
         if not isinstance(arity, int) or arity < 1:
             raise DatabaseFormatError(f"relation {name} has invalid arity")
+        if not isinstance(spec["tuples"], list):
+            raise DatabaseFormatError(f"relation {name}: 'tuples' must be a list")
         rows = set()
         for row in spec["tuples"]:
             if not isinstance(row, list) or len(row) != arity:
                 raise DatabaseFormatError(f"relation {name}: tuple width differs from arity")
             for value in row:
-                if value not in domain:
+                if not isinstance(value, str) or value not in domain:
                     raise DatabaseFormatError(f"relation {name}: value {value!r} outside the domain")
             rows.add(tuple(row))  # duplicates collapse silently: relations are sets
         relations[name] = Relation(tuple(f"c{j}" for j in range(arity)), frozenset(rows))
@@ -84,14 +89,18 @@ def load_database(path: str) -> Database:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DatabaseFormatError(f"{path}: {exc}") from exc
     return database_from_dict(doc)
 
 
 def load_query(path: str) -> SignedQuery:
     with open(path, encoding="utf-8") as fh:
-        return parse_query(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CqdaError(f"{path}: {exc}") from exc
+    return parse_query(text)
 
 
 # --- shared plumbing ----------------------------------------------------------
@@ -156,7 +165,15 @@ def _build_engine(args, q: SignedQuery, db: Database, order: VarOrder):
 
 def _budget() -> hg.Budget:
     cap = os.environ.get("CQDA_BUDGET")
-    return hg.Budget(int(cap)) if cap else hg.DEFAULT_BUDGET
+    if not cap:
+        return hg.DEFAULT_BUDGET
+    try:
+        states = int(cap)
+    except ValueError:
+        states = 0
+    if states < 1:
+        raise CqdaError(f"CQDA_BUDGET must be a positive integer, got {cap!r}")
+    return hg.Budget(states)
 
 
 def _assignment_json(t: Assignment) -> dict:
@@ -273,13 +290,7 @@ def cmd_enumerate(args) -> int:
     q = load_query(args.query)
     db = load_database(args.db)
     engine = _build_engine(args, q, db, resolve_order(q, args.order))
-    total = engine.count()
-    limit = args.limit if args.limit is not None else max(0, total - args.start + 1)
-    if limit == 0:
-        return 0
-    if args.start < 1 or args.start + limit - 1 > total:
-        raise OutOfRangeError(f"k out of range (count={total})")
-    for k in range(args.start, args.start + limit):
+    for k in answer_window(engine.count(), args.start, args.limit):
         _emit(_assignment_json(engine.kth(k)), args.pretty)
     return 0
 
@@ -377,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(exc), 2)
     except BudgetExceededError as exc:
         return _fail(str(exc), 3)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, unreadable or not a file
         return _fail(str(exc), 1)
     except CqdaError as exc:
         return _fail(str(exc), 1)

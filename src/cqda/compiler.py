@@ -1,12 +1,21 @@
 """Exhaustive DPLL compilation of signed queries into ordered circuits.
 
 ``dpll_compile`` walks the variables of its elimination order from the
-largest down, branching on every domain value, so the circuit it emits
-is ordered for the *reversed* order: that reversal is the significance
-order direct access serves.  Recursive calls are cached by subquery
-identity plus the assignment restricted to the subquery's variables;
-Cartesian-product structure is detected by splitting the simplified
-query into components connected through unassigned variables.
+largest down, so the circuit it emits is ordered for the *reversed*
+order: that reversal is the significance order direct access serves.
+Each atom's trie lists its columns in that same binding order, so at a
+call on ``x`` every atom has bound exactly the trie levels above ``x``.
+The call branches only on the values that every positive atom on ``x``
+supports (the common child keys of their trie nodes, as in leapfrog
+triejoin), or on the whole domain when no positive atom mentions ``x``.
+A negated atom on ``x`` excludes a value once it binds a stored row, and
+drops out once no stored row extends the binding.  Unsupported values
+get no edge, and neither do branches whose subcircuit is empty, so the
+circuit holds no Bot gate unless the query is unsatisfiable.  Recursive
+calls are cached by subquery identity plus the assignment restricted to
+the subquery's variables; Cartesian-product structure is detected by
+splitting the remaining atoms into components connected through
+unassigned variables.
 
 ``binarize`` rewrites a database and query onto the two-value domain,
 spending ceil(log2 |D|) bit variables per original variable.  The bit
@@ -16,12 +25,12 @@ rewriting an order isomorphism on answers.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .circuit import Circuit, circuit_size
 from .errors import RankOutOfDomainError
-from .query import Atom, SignedQuery, check_compatible, _trie_match
+from .query import Atom, SignedQuery, check_compatible
 from .relations import Assignment, Database, Domain, Relation, VarOrder
 
 
@@ -41,21 +50,50 @@ class CompileStats:
         }
 
 
+_EMPTY = -1  # result of a call whose relation is empty; it never becomes a gate
+
+
 class _Frame:
     """One suspended compilation call in the explicit DPLL stack."""
 
-    __slots__ = ("key", "aids", "tau", "x", "d_idx", "edges", "dest", "children", "d_value")
+    __slots__ = ("key", "aids", "tau", "x", "values", "negs", "i", "edges", "dest", "children", "value")
 
-    def __init__(self, key, aids, tau, x, dest):
+    def __init__(self, key, aids, tau, x, values, negs, dest):
         self.key = key
         self.aids = aids
         self.tau = tau
         self.x = x
-        self.d_idx = 0
+        self.values = values  # supported values of x, ascending
+        self.negs = negs  # (atom id, trie node, x is its last level) per negated atom on x
+        self.i = 0
         self.edges = []
         self.dest = dest  # (list, slot) receiving the finished gate id
         self.children = None
-        self.d_value = None
+        self.value = None
+
+
+def _descend(node: dict, levels: tuple[str, ...], tau: Mapping[str, str], x: str) -> dict:
+    """Trie node an atom reaches along its levels above ``x``.
+
+    Levels run in decreasing elimination position, the order in which
+    the compiler binds variables, so ``tau`` binds exactly the levels
+    before ``x`` and the walk follows one path.
+    """
+    for var in levels:
+        if var == x:
+            return node
+        node = node[tau[var]]
+    raise ValueError(f"{x} is not a level of this trie")
+
+
+def _supported(guards: list[dict], domain: Domain, rank) -> Sequence[str]:
+    """Values every guard node has a child for, ascending; all of them without guards."""
+    if not guards:
+        return domain.values
+    common = guards[0].keys()
+    for g in guards[1:]:
+        common = common & g.keys()
+    return sorted(common, key=rank)
 
 
 def dpll_compile(
@@ -66,48 +104,33 @@ def dpll_compile(
     ``order`` is the elimination order; it must cover the query
     variables (extra variables are allowed and stay unconstrained).  The
     result computes the answer set over ``order`` reversed, which is the
-    universe stored on the circuit.
+    universe stored on the circuit.  Every gate reachable from the
+    output computes a nonempty relation; an unsatisfiable query yields
+    the Bot gate as output.
     """
     check_compatible(query, db)
     if not query.variables <= set(order.vars):
         raise ValueError("elimination order must cover every query variable")
     domain = db.domain
+    rank = {d: i for i, d in enumerate(domain.values)}.__getitem__
     circuit = Circuit(domain, order.reversed())
     stats = CompileStats()
 
     atoms = query.atoms
     arg_sets: list[tuple[str, ...]] = [a.args for a in atoms]
-    rows_of: list[frozenset] = []
+    var_sets = [frozenset(a.args) for a in atoms]
+    position = {v: order.position(v) for v in query.variables}
     tries: list[dict] = []
     levels: list[tuple[str, ...]] = []
     for a in atoms:
         rel: Relation = db.relations[a.symbol]
-        perm = tuple(sorted(range(len(a.args)), key=lambda i: -order.position(a.args[i])))
+        perm = tuple(sorted(range(len(a.args)), key=lambda i: -position[a.args[i]]))
         tries.append(rel.trie(perm))
         levels.append(tuple(a.args[i] for i in perm))
-        rows_of.append(rel.rows)
 
-    def atom_consistent(aid: int, tau: dict) -> bool:
-        a = atoms[aid]
-        if a.positive:
-            return _trie_match(tries[aid], levels[aid], 0, tau)
-        if all(v in tau for v in arg_sets[aid]):
-            return tuple(tau[v] for v in arg_sets[aid]) not in rows_of[aid]
-        return True
-
-    def consistent(aids, tau: dict) -> bool:
-        return all(atom_consistent(aid, tau) for aid in aids)
-
-    def simplify_ids(aids, tau: dict):
-        kept = []
-        for aid in aids:
-            a = atoms[aid]
-            if a.positive or _trie_match(tries[aid], levels[aid], 0, tau):
-                kept.append(aid)
-        return kept
-
-    def split_components(aids, tau: dict):
-        open_of = {aid: [v for v in arg_sets[aid] if v not in tau] for aid in aids}
+    def split_components(aids, px: int):
+        # variables at position >= px are bound; atoms link through the others
+        open_of = {aid: [v for v in arg_sets[aid] if position[v] < px] for aid in aids}
         by_var: dict[str, list[int]] = {}
         for aid in aids:
             for v in open_of[aid]:
@@ -131,83 +154,108 @@ def dpll_compile(
             comps.append(tuple(sorted(block)))
         return comps
 
-    vars_of_aids: dict[tuple, tuple[str, ...]] = {}
+    plans: dict[tuple, list] = {}
 
-    def component_vars(aids) -> tuple[str, ...]:
-        got = vars_of_aids.get(aids)
+    def plan(aids: tuple, px: int) -> list:
+        """Calls left once the variables at position >= px are bound.
+
+        One ``(atoms, bound variables by name, variable x to branch on,
+        (atom, positive, x is its last level) per atom on x)`` per
+        component.  Variables are bound in decreasing position, so which
+        ones are bound, and so the split, depends on px alone.
+        """
+        key = (aids, px)
+        got = plans.get(key)
         if got is None:
-            got = tuple(sorted({v for aid in aids for v in arg_sets[aid]}))
-            vars_of_aids[aids] = got
+            got = []
+            for comp in split_components(aids, px):
+                vs = sorted({v for aid in comp for v in arg_sets[aid]})
+                bound = tuple(v for v in vs if position[v] >= px)
+                x = max((v for v in vs if position[v] < px), key=position.__getitem__)
+                on_x = tuple(
+                    (aid, atoms[aid].positive, levels[aid][-1] == x) for aid in comp if x in var_sets[aid]
+                )
+                got.append((comp, bound, x, on_x))
+            plans[key] = got
         return got
 
     cache: dict[tuple, int] = {}
     stack: list[_Frame] = []
 
-    def push_call(aids: tuple, tau: dict, dest) -> None:
-        # caller guarantees (aids, tau) is consistent
-        key = (aids, tuple(sorted(tau.items())))
+    def push_call(call: tuple, tau: dict, dest) -> None:
+        # tau lists the bound variables by name; every positive atom has a row matching it
+        aids, _, x, on_x = call
+        key = (aids, tuple(tau.items()))
         hit = cache.get(key)
         if hit is not None:
             stats.cache_hits += 1
             dest[0][dest[1]] = hit
             return
         stats.rec_calls += 1
-        unassigned = [v for v in component_vars(aids) if v not in tau]
-        if not unassigned:
-            gate = circuit.top()
-            cache[key] = gate
-            dest[0][dest[1]] = gate
-            return
-        x = max(unassigned, key=order.position)
-        stack.append(_Frame(key, aids, tau, x, dest))
+        guards = []
+        negs = []
+        for aid, positive, last in on_x:
+            node = _descend(tries[aid], levels[aid], tau, x)
+            if positive:
+                guards.append(node)
+            else:
+                negs.append((aid, node, last))
+        values = _supported(guards, domain, rank)
+        stack.append(_Frame(key, aids, tau, x, values, negs, dest))
 
     def drain() -> None:
         while stack:
             fr = stack[-1]
-            if fr.children is not None and all(g is not None for g in fr.children):
-                gate = fr.children[0] if len(fr.children) == 1 else circuit.add_product(fr.children)
-                fr.edges.append((fr.d_value, gate))
+            if fr.children is not None:
+                kids = fr.children
+                if _EMPTY not in kids:
+                    gate = kids[0] if len(kids) == 1 else circuit.add_product(kids)
+                    fr.edges.append((fr.value, gate))
                 fr.children = None
-                fr.d_idx += 1
-            if fr.d_idx == len(domain.values):
-                gate = circuit.add_decision(fr.x, fr.edges)
+            if fr.i == len(fr.values):
+                gate = circuit.add_decision(fr.x, fr.edges) if fr.edges else _EMPTY
                 cache[fr.key] = gate
                 fr.dest[0][fr.dest[1]] = gate
                 stack.pop()
                 continue
-            d = domain.values[fr.d_idx]
-            tau2 = dict(fr.tau)
-            tau2[fr.x] = d
-            if not consistent(fr.aids, tau2):
-                fr.edges.append((d, circuit.bot()))
-                fr.d_idx += 1
-                continue
-            kept = simplify_ids(fr.aids, tau2)
-            comps = split_components(kept, tau2)
-            if not comps:
-                fr.edges.append((d, circuit.top()))
-                fr.d_idx += 1
-                continue
-            fr.children = [None] * len(comps)
-            fr.d_value = d
-            for slot, comp in reversed(list(enumerate(comps))):
-                comp_tau = {v: tau2[v] for v in component_vars(comp) if v in tau2}
-                push_call(comp, comp_tau, (fr.children, slot))
+            d = fr.values[fr.i]
+            fr.i += 1
+            # positive atoms support d by construction; only negated atoms on x remain
+            dropped = set()
+            for aid, node, last in fr.negs:
+                if d not in node:
+                    dropped.add(aid)  # no stored row extends the binding: satisfied
+                elif last:
+                    break  # the fully bound row is stored: d is excluded
+            else:
+                kept = tuple(aid for aid in fr.aids if aid not in dropped) if dropped else fr.aids
+                calls = plan(kept, position[fr.x])
+                if not calls:
+                    fr.edges.append((d, circuit.top()))
+                    continue
+                tau = fr.tau  # the frame's own dict: its key and trie walks are done
+                tau[fr.x] = d
+                fr.children = [None] * len(calls)
+                fr.value = d
+                for slot in range(len(calls) - 1, -1, -1):
+                    call = calls[slot]
+                    push_call(call, {v: tau[v] for v in call[1]}, (fr.children, slot))
 
-    all_aids = tuple(range(len(atoms)))
-    if not consistent(all_aids, {}):
-        circuit.set_output(circuit.bot())
-    else:
-        comps = split_components(tuple(simplify_ids(all_aids, {})), {})
-        if not comps:
-            circuit.set_output(circuit.top())
-        else:
-            results: list = [None] * len(comps)
-            for slot, comp in enumerate(comps):
-                push_call(comp, {}, (results, slot))
-                drain()
-            out = results[0] if len(results) == 1 else circuit.add_product(results)
-            circuit.set_output(out)
+    out = _EMPTY
+    if all(tries[aid] for aid in range(len(atoms)) if atoms[aid].positive):
+        # a negated atom over an empty relation holds everywhere
+        kept = tuple(aid for aid in range(len(atoms)) if atoms[aid].positive or tries[aid])
+        calls = plan(kept, len(order))
+        results: list = [None] * len(calls)
+        for slot, call in enumerate(calls):
+            push_call(call, {}, (results, slot))
+            drain()
+        if _EMPTY not in results:
+            if not results:
+                out = circuit.top()
+            else:
+                out = results[0] if len(results) == 1 else circuit.add_product(results)
+    circuit.set_output(circuit.bot() if out == _EMPTY else out)
 
     stats.gates = len(circuit.gates)
     stats.edges = circuit_size(circuit)

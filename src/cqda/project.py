@@ -91,11 +91,9 @@ class CircuitEngine:
         return acc.rank(self.circuit, self.index, encoded)
 
     def answers(self, start: int = 1, limit: int | None = None) -> Iterator[Assignment]:
-        total = self.count()
-        if limit is None:
-            limit = max(0, total - start + 1)
-        for k in range(start, start + limit):
-            yield self.kth(k)
+        """Answers ``start .. start+limit-1``; raises before yielding if the window is out of range."""
+        window = acc.answer_window(self.count(), start, limit)
+        return (self.kth(k) for k in window)
 
 
 def da_conjunctive(

@@ -183,3 +183,20 @@ def test_parse_error_exit_code(files, capsys, tmp_path):
 def test_usage_error_exit_code(capsys):
     code = main(["access"])
     assert code == 1
+
+
+def test_relations_list_is_a_format_error(tmp_path, files, capsys):
+    _, query = files
+    db = tmp_path / "list.json"
+    db.write_text(json.dumps({"domain": ["0", "1"], "relations": []}))
+    code, out, err = run(capsys, "count", str(db), query)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_non_numeric_budget_is_a_usage_error(files, capsys, monkeypatch):
+    _, query = files
+    monkeypatch.setenv("CQDA_BUDGET", "abc")
+    code, out, err = run(capsys, "width", query, "--measure", "show")
+    assert code == 1 and out == ""
+    assert "CQDA_BUDGET" in err and len(err.strip().splitlines()) == 1

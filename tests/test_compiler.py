@@ -2,9 +2,10 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import example51_db, example51_query, instances
-from cqda.circuit import ProductGate, validate_decomposable, validate_ordered
+from cqda.circuit import BotGate, DecisionGate, ProductGate, validate_decomposable, validate_ordered
 from cqda.compiler import (
     BinCodec,
     binarize,
@@ -15,7 +16,7 @@ from cqda.compiler import (
 )
 from cqda.errors import RankOutOfDomainError
 from cqda.hypergraph import Hypergraph, fhow_width, show_width
-from cqda.query import SignedQuery, eval_bruteforce, hypergraph_of, parse_query
+from cqda.query import Atom, SignedQuery, eval_bruteforce, hypergraph_of, parse_query
 from cqda.relations import Assignment, Database, Domain, Relation, VarOrder, sort_lex
 from cqda.access import count, direct_access, preprocess
 
@@ -204,3 +205,120 @@ def test_binarization_preserves_signed_widths(inst):
     from cqda.hypergraph import sfhow_width
 
     assert sfhow_width(before, elim_before) == sfhow_width(after, elim_after)
+
+
+# --- support-driven branching ------------------------------------------------
+
+def _compiled(inst, binarized: bool):
+    """Query, database and the circuit compiled from them (on bits when binarized)."""
+    q, db, order = inst.query, inst.db, inst.order
+    if binarized:
+        db, q, order, _ = binarize(db, q, order)
+    circuit, _ = dpll_compile(q, db, order.reversed())
+    return q, db, order, circuit
+
+
+def _trie_levels(atom, rel, order):
+    # the compiler's trie layout: decreasing elimination position = significance order
+    perm = tuple(sorted(range(len(atom.args)), key=lambda i: order.position(atom.args[i])))
+    return rel.trie(perm), tuple(atom.args[i] for i in perm)
+
+
+@given(instances(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_no_decision_edge_points_at_bot(inst, binarized):
+    _, _, _, circuit = _compiled(inst, binarized)
+    for g in circuit.gates:
+        if isinstance(g, DecisionGate):
+            assert not any(isinstance(circuit.gates[child], BotGate) for _, child in g.edges)
+    idx = preprocess(circuit)
+    if isinstance(circuit.gates[circuit.output], BotGate):
+        assert circuit.reachable() == [circuit.output]
+    else:
+        assert all(idx.rel_count[gid] > 0 for gid in circuit.reachable())
+
+
+@given(instances(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_edge_values_are_supported_by_every_positive_atom(inst, binarized):
+    q, db, order, circuit = _compiled(inst, binarized)
+    guards = [_trie_levels(a, db.relations[a.symbol], order) for a in q.positive_atoms]
+    seen = set()
+    stack = [(circuit.output, {})]
+    while stack:
+        gid, tau = stack.pop()
+        if (gid, tuple(sorted(tau.items()))) in seen:
+            continue
+        seen.add((gid, tuple(sorted(tau.items()))))
+        g = circuit.gates[gid]
+        if isinstance(g, ProductGate):
+            stack.extend((child, tau) for child in g.children)
+        elif isinstance(g, DecisionGate):
+            for node, levels in guards:
+                if g.var not in levels:
+                    continue
+                for var in levels[: levels.index(g.var)]:
+                    node = node[tau[var]]
+                assert all(value in node for value, _ in g.edges)
+            stack.extend((child, {**tau, g.var: value}) for value, child in g.edges)
+
+
+@st.composite
+def padded_instances(draw):
+    """An instance plus a variable only a negated atom mentions and one no atom mentions."""
+    inst = draw(instances())
+    values = inst.db.domain.values
+    partner = draw(st.sampled_from(inst.order.vars))
+    args = ("z", partner) if draw(st.booleans()) else ("z",)
+    rows = draw(st.sets(st.tuples(*[st.sampled_from(values)] * len(args)), max_size=4))
+    q = SignedQuery(inst.query.atoms + (Atom(False, "NZ", args),))
+    db = Database(
+        inst.db.domain,
+        {**inst.db.relations, "NZ": Relation(tuple(f"c{j}" for j in range(len(args))), frozenset(rows))},
+    )
+    significance = list(inst.order.vars)
+    for var in ("z", "pad"):
+        significance.insert(draw(st.integers(0, len(significance))), var)
+    return q, db, VarOrder(tuple(significance))
+
+
+@given(padded_instances())
+@settings(max_examples=60, deadline=None)
+def test_full_domain_branches_match_bruteforce(case):
+    from cqda.circuit import semantics_bruteforce
+
+    q, db, order = case
+    circuit, _ = dpll_compile(q, db, order.reversed())
+    oracle = eval_bruteforce(q, db)
+    # "pad" is mentioned by no atom: every value of it extends every answer
+    vs = oracle.vars + ("pad",)
+    perm = sorted(range(len(vs)), key=vs.__getitem__)
+    expected = {
+        tuple((row + (d,))[i] for i in perm) for row in oracle.rows for d in db.domain.values
+    }
+    got = semantics_bruteforce(circuit)
+    assert got.vars == tuple(sorted(vs))
+    assert got.rows == expected
+    assert validate_ordered(circuit, order)
+
+
+@given(instances(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_every_call_has_bound_exactly_the_trie_levels_above_its_variable(inst, binarized):
+    from unittest import mock
+
+    from cqda import compiler
+
+    real = compiler._descend
+    walks = []
+
+    def checked(node, levels, tau, x):
+        above = levels[: levels.index(x)]
+        assert {v for v in levels if v in tau} == set(above)
+        walks.append(x)
+        return real(node, levels, tau, x)
+
+    with mock.patch.object(compiler, "_descend", checked):
+        _, _, _, circuit = _compiled(inst, binarized)
+    if any(isinstance(g, DecisionGate) for g in circuit.gates):
+        assert walks

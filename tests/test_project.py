@@ -98,3 +98,17 @@ def test_da_conjunctive_random_free_prefix(inst):
         assert got == oracle
         for k, t in enumerate(got, 1):
             assert engine.rank_of(t) == k
+
+
+def test_answers_window_is_checked_before_yielding(ex51):
+    from cqda.errors import OutOfRangeError
+
+    q, db, order = ex51
+    engine = da_conjunctive(q, db, order)
+    everything = list(engine.answers())
+    assert len(everything) == 8
+    assert list(engine.answers(6, 3)) == everything[5:]
+    assert list(engine.answers(9)) == []
+    for start, limit in ((7, 5), (0, 2), (9, 1)):
+        with pytest.raises(OutOfRangeError):
+            engine.answers(start, limit)
