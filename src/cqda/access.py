@@ -151,9 +151,9 @@ def _oracle(c: Circuit, idx: AccessIndex, gates: tuple[int, ...], p: int, n: int
     """Smallest value for variable ``p`` reaching ``n`` extensions, and the
     count of extensions strictly below it.
 
-    Returns ``(value, below, child)`` where ``child`` is the gate behind
-    the chosen edge of the frontier's decision gate on ``p``, or ``None``
-    when no frontier gate tests ``p``.
+    Returns ``(value, below, crossed)`` where ``crossed`` is the
+    frontier's decision gate on ``p`` paired with the child behind its
+    chosen edge, or ``None`` when no frontier gate tests ``p``.
     """
     dsize = len(c.domain)
     x = c.universe.vars[p]
@@ -261,7 +261,7 @@ def answer_window(total: int, start: int = 1, limit: int | None = None) -> range
         limit = max(0, total - start + 1)
     if limit == 0:
         return range(0)
-    if start < 1 or limit < 0 or start + limit - 1 > total:
+    if start < 1 or start + limit - 1 > total:
         raise OutOfRangeError(f"window {start}..{start + limit - 1} outside 1..{total}")
     return range(start, start + limit)
 
