@@ -12,12 +12,13 @@ even when they exceed machine words.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import partial
 
 from .circuit import BotGate, Circuit, DecisionGate, ProductGate, TopGate
 from .errors import NotAPrefixError, OutOfRangeError, UnsatisfiableError
-from .relations import Assignment
+from .relations import Assignment, Domain, VarOrder, lex_compare
 
 
 @dataclass
@@ -231,24 +232,30 @@ def direct_access(c: Circuit, idx: AccessIndex, k: int) -> Assignment:
     return Assignment(bound)
 
 
-def rank(c: Circuit, idx: AccessIndex, t: Mapping[str, str]) -> int:
-    """Number of tuples at most ``t`` in the circuit's relation.
+def rank_by_kth(
+    kth: Callable[[int], Mapping[str, str]], total: int, t: Mapping[str, str], order: VarOrder, domain: Domain
+) -> int:
+    """Number of tuples at most ``t`` among ``kth(1) .. kth(total)``.
 
-    Binary search over direct accesses; when ``t`` itself is an answer
-    this is its 1-based rank.
+    ``kth`` lists tuples in increasing lexicographic order under
+    ``order``; binary search over it gives the 1-based rank of ``t``
+    when listed, else the rank of the largest listed tuple below it.
     """
-    from .relations import lex_compare
-
-    if set(t) != set(c.universe.vars):
-        raise ValueError("rank needs a tuple over the full universe")
-    lo, hi = 0, count(c, idx)
+    lo, hi = 0, total
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if lex_compare(direct_access(c, idx, mid), t, c.universe, c.domain) <= 0:
+        if lex_compare(kth(mid), t, order, domain) <= 0:
             lo = mid
         else:
             hi = mid - 1
     return lo
+
+
+def rank(c: Circuit, idx: AccessIndex, t: Mapping[str, str]) -> int:
+    """Number of tuples at most ``t`` in the circuit's relation (an answer's 1-based rank)."""
+    if set(t) != set(c.universe.vars):
+        raise ValueError("rank needs a tuple over the full universe")
+    return rank_by_kth(partial(direct_access, c, idx), count(c, idx), t, c.universe, c.domain)
 
 
 def answer_window(total: int, start: int = 1, limit: int | None = None) -> range:
@@ -259,6 +266,8 @@ def answer_window(total: int, start: int = 1, limit: int | None = None) -> range
     """
     if limit is None:
         limit = max(0, total - start + 1)
+    if limit < 0:
+        raise OutOfRangeError(f"window limit {limit} is negative")
     if limit == 0:
         return range(0)
     if start < 1 or start + limit - 1 > total:

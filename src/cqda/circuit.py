@@ -312,29 +312,3 @@ def load_circuit(text: str) -> Circuit:
         ids[name] = gid
     raise ValueError("circuit dump has no output line")
 
-
-def prune(c: Circuit, rel_counts: dict[int, int]) -> Circuit:
-    """Copy of the circuit without edges into empty-relation subcircuits.
-
-    ``rel_counts`` maps reachable gate ids to their tuple counts (as the
-    access preprocessing computes them).  A gate computing the empty
-    relation collapses to the shared Bot gate.
-    """
-    out = Circuit(c.domain, c.universe)
-    mapping: dict[int, int] = {}
-    for gid in c.reachable():
-        g = c.gates[gid]
-        if rel_counts[gid] == 0:
-            mapping[gid] = out.bot()
-            continue
-        if isinstance(g, TopGate):
-            mapping[gid] = out.top()
-        elif isinstance(g, DecisionGate):
-            kept = [(v, mapping[ch]) for v, ch in g.edges if rel_counts[ch] > 0]
-            mapping[gid] = out.add_decision(g.var, kept)
-        elif isinstance(g, ProductGate):
-            mapping[gid] = out.add_product(mapping[ch] for ch in g.children)
-        else:
-            mapping[gid] = out.top()
-    out.set_output(mapping[c.output])
-    return out

@@ -276,13 +276,7 @@ def cmd_rank(args) -> int:
         if value not in db.domain:
             raise CqdaError(f"--tuple value {value!r} outside the domain")
     engine = _build_engine(args, q, db, order)
-    if getattr(args, "engine", "circuit") == "reduction":
-        from .reduction import rank_via_da
-
-        r = rank_via_da(engine, Assignment(doc))
-    else:
-        r = engine.rank_of(Assignment(doc))
-    _emit({"rank": str(r)}, args.pretty)
+    _emit({"rank": str(engine.rank_of(Assignment(doc)))}, args.pretty)
     return 0
 
 

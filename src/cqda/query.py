@@ -9,7 +9,7 @@ every variable.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import (
@@ -73,20 +73,9 @@ class SignedQuery:
     def negative_atoms(self) -> tuple[Atom, ...]:
         return tuple(a for a in self.atoms if not a.positive)
 
-    def subquery(self, atom_ids: Iterable[int]) -> SignedQuery:
-        return SignedQuery(tuple(self.atoms[i] for i in atom_ids))
-
     def __str__(self) -> str:
         head = "*" if self.free is None else ", ".join(sorted(self.free))
         return f"Q({head}) :- {', '.join(map(str, self.atoms))}."
-
-
-@dataclass(frozen=True)
-class TauComponents:
-    """Partition of the not-yet-settled atoms into connected blocks."""
-
-    components: tuple[SignedQuery, ...]
-    settled: tuple[Atom, ...]
 
 
 # --- parsing ---------------------------------------------------------------
@@ -269,55 +258,6 @@ def atom_consistent(atom: Atom, tau: Mapping[str, str], db: Database) -> bool:
     if any(v not in tau for v in atom.args):
         return True
     return tuple(tau[v] for v in atom.args) not in rel.rows
-
-
-def simplify(q: SignedQuery, tau: Mapping[str, str], db: Database) -> tuple[SignedQuery, frozenset[str]]:
-    """Drop negated atoms whose positive version has no compatible row.
-
-    Returns the reduced query and the variables that vanished with the
-    dropped atoms (those become unconstrained degrees of freedom).
-    """
-    kept = []
-    for atom in q.atoms:
-        if atom.positive or atom_consistent(atom.as_positive(), tau, db):
-            kept.append(atom)
-    kept_vars = frozenset(v for a in kept for v in a.args)
-    free = None if q.free is None else q.free & kept_vars
-    reduced = SignedQuery(tuple(kept), free)
-    dropped = q.variables - kept_vars - set(tau)
-    return reduced, frozenset(dropped)
-
-
-def tau_components(q: SignedQuery, assigned_vars: Iterable[str]) -> TauComponents:
-    """Connected components of atoms linked by a shared unassigned variable."""
-    assigned = set(assigned_vars)
-    open_vars = [frozenset(a.var_set - assigned) for a in q.atoms]
-    pending = [i for i, vs in enumerate(open_vars) if vs]
-    settled = tuple(q.atoms[i] for i, vs in enumerate(open_vars) if not vs)
-
-    by_var: dict[str, list[int]] = {}
-    for i in pending:
-        for v in open_vars[i]:
-            by_var.setdefault(v, []).append(i)
-
-    seen: set[int] = set()
-    components: list[SignedQuery] = []
-    for start in pending:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        block = []
-        while stack:
-            i = stack.pop()
-            block.append(i)
-            for v in open_vars[i]:
-                for j in by_var[v]:
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-        components.append(q.subquery(sorted(block)))
-    return TauComponents(tuple(components), settled)
 
 
 def eval_bruteforce(q: SignedQuery, db: Database) -> Relation:

@@ -4,9 +4,11 @@ This is a second, independent engine used to cross-validate the circuit
 pipeline.  It peels negated atoms one at a time: answers with atom
 ``!R`` equal answers without it minus answers with ``R`` made positive,
 and set difference lifts to direct access through ranking plus binary
-search.  Providers expose ``count()`` and ``kth(k)`` over a common
-universe and significance order; derived providers memoise both
-directions because the nested binary searches revisit indices heavily.
+search.  Every provider answers ``count()``, ``kth(k)`` and
+``rank_of(t)`` over a common universe and significance order, the same
+contract as ``CircuitEngine``; ``rank_of`` is ``access.rank_by_kth``
+over the provider's own ``kth``.  Derived providers memoise ``kth``
+because the nested binary searches revisit indices heavily.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
+from .access import rank_by_kth
 from .errors import OutOfRangeError
 from .project import da_conjunctive
 from .query import SignedQuery
-from .relations import Assignment, Database, Domain, Relation, VarOrder, lex_compare, sort_lex
+from .relations import Assignment, Database, Domain, VarOrder
 
 
 @dataclass(frozen=True)
@@ -30,36 +33,6 @@ class QnnSpec:
     def __post_init__(self):
         if self.n1 & self.n2:
             raise ValueError("flipped and kept atom sets must be disjoint")
-
-
-class ExplicitProvider:
-    """Direct access over a materialised relation; the small-case oracle."""
-
-    def __init__(self, rel: Relation, order: VarOrder, domain: Domain):
-        self.universe = order
-        self.domain = domain
-        self._sorted = sort_lex(rel, order, domain)
-
-    def count(self) -> int:
-        return len(self._sorted)
-
-    def kth(self, k: int) -> Assignment:
-        if not 1 <= k <= len(self._sorted):
-            raise OutOfRangeError(f"k out of range (count={len(self._sorted)})")
-        return self._sorted[k - 1]
-
-
-def rank_via_da(provider, t: Mapping[str, str]) -> int:
-    """Rank of ``t`` among the provider's tuples (largest smaller when absent)."""
-    lo, hi = 0, provider.count()
-    order, domain = provider.universe, provider.domain
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if lex_compare(provider.kth(mid), t, order, domain) <= 0:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 @dataclass(eq=False)
@@ -96,7 +69,7 @@ class SubtractedProvider:
         while lo < hi:
             mid = (lo + hi) // 2
             t = self.big.kth(mid)
-            if mid - rank_via_da(self.small, t) >= k:
+            if mid - self.small.rank_of(t) >= k:
                 hi = mid
             else:
                 lo = mid + 1
@@ -104,9 +77,8 @@ class SubtractedProvider:
         self._kth_cache[k] = result
         return result
 
-
-def subtract_da(big, small) -> SubtractedProvider:
-    return SubtractedProvider(big, small)
+    def rank_of(self, t: Mapping[str, str]) -> int:
+        return rank_by_kth(self.kth, self.count(), t, self.universe, self.domain)
 
 
 class _MemoProvider:
@@ -131,6 +103,9 @@ class _MemoProvider:
             self._kth[k] = got
         return got
 
+    def rank_of(self, t: Mapping[str, str]) -> int:
+        return rank_by_kth(self.kth, self.count(), t, self.universe, self.domain)
+
 
 def positive_part(q: SignedQuery, flipped: frozenset[int]) -> SignedQuery:
     """The positive query keeping ``flipped`` negated atoms as positives."""
@@ -144,35 +119,22 @@ def positive_part(q: SignedQuery, flipped: frozenset[int]) -> SignedQuery:
     return SignedQuery(atoms, None)
 
 
-def qnn_da(
-    q: SignedQuery,
-    spec: QnnSpec,
-    db: Database,
-    order: VarOrder,
-    base,
-    _memo: dict | None = None,
-):
+def qnn_da(spec: QnnSpec, base):
     """Provider for the query with ``n1`` flipped positive and ``n2`` kept.
 
     Recurses on the kept set: keeping ``!R`` means subtracting, from the
     answers without the atom, the answers with ``R`` positive.  ``base``
-    builds a provider for any purely positive combination.
+    builds a provider for any purely positive combination.  No pair
+    ``(n1, n2)`` occurs twice in the recursion, so nothing is memoised
+    across calls.
     """
-    memo = {} if _memo is None else _memo
-    key = (spec.n1, spec.n2)
-    got = memo.get(key)
-    if got is not None:
-        return got
     if not spec.n2:
-        provider = _MemoProvider(base(spec.n1))
-    else:
-        r = max(spec.n2)
-        rest = spec.n2 - {r}
-        keep = qnn_da(q, QnnSpec(spec.n1, rest), db, order, base, memo)
-        flip = qnn_da(q, QnnSpec(spec.n1 | {r}, rest), db, order, base, memo)
-        provider = SubtractedProvider(keep, flip)
-    memo[key] = provider
-    return provider
+        return _MemoProvider(base(spec.n1))
+    r = max(spec.n2)
+    rest = spec.n2 - {r}
+    keep = qnn_da(QnnSpec(spec.n1, rest), base)
+    flip = qnn_da(QnnSpec(spec.n1 | {r}, rest), base)
+    return SubtractedProvider(keep, flip)
 
 
 def signed_da_via_reduction(
@@ -184,4 +146,4 @@ def signed_da_via_reduction(
         return da_conjunctive(positive_part(q, flipped), db, order, binarize=binarize)
 
     negatives = frozenset(i for i, a in enumerate(q.atoms) if not a.positive)
-    return qnn_da(q, QnnSpec(frozenset(), negatives), db, order, base)
+    return qnn_da(QnnSpec(frozenset(), negatives), base)

@@ -145,6 +145,8 @@ def test_rank_and_enumerate_roundtrip():
     assert window == answers[4:7]
     with pytest.raises(OutOfRangeError):
         list(enumerate_answers(c, idx, 10, 6))
+    with pytest.raises(OutOfRangeError):
+        enumerate_answers(c, idx, 2, -1)
 
 
 def test_rank_of_absent_tuple_counts_predecessors():

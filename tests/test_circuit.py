@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import annotated_circuit, example51_db, example51_query, instances
-from cqda.access import preprocess
 from cqda.circuit import (
     Circuit,
     DecisionGate,
@@ -13,7 +12,6 @@ from cqda.circuit import (
     dump_circuit,
     gate_var_sets,
     load_circuit,
-    prune,
     semantics_bruteforce,
     validate_decomposable,
     validate_ordered,
@@ -115,21 +113,6 @@ def test_dump_annotated_fixture():
     c = annotated_circuit()
     again = load_circuit(dump_circuit(c))
     assert semantics_bruteforce(again).rows == semantics_bruteforce(c).rows
-
-
-def test_prune_preserves_semantics(ex51):
-    q, db, order = ex51
-    circuit, _ = dpll_compile(q, db, order.reversed())
-    idx = preprocess(circuit)
-    slim = prune(circuit, idx.rel_count)
-    assert circuit_size(slim) <= circuit_size(circuit)
-    assert semantics_bruteforce(slim).rows == semantics_bruteforce(circuit).rows
-    slim_idx = preprocess(slim)
-    from cqda.access import count, direct_access
-
-    assert count(slim, slim_idx) == count(circuit, idx)
-    for k in range(1, count(slim, slim_idx) + 1):
-        assert direct_access(slim, slim_idx, k) == direct_access(circuit, idx, k)
 
 
 @given(instances(max_vars=4, max_dom=3))

@@ -96,6 +96,9 @@ def test_enumerate_window_and_empty(files, capsys):
     assert code == 0 and out == ""
     code, out, _ = run(capsys, "enumerate", db, query, "--from", "7", "--limit", "5")
     assert code == 2
+    code, out, err = run(capsys, "enumerate", db, query, "--limit", "-3")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
 
 
 def test_rank_command(files, capsys):
@@ -108,6 +111,20 @@ def test_rank_command(files, capsys):
     assert code == 1 and "error:" in err
     code, _, err = run(capsys, "rank", db, query, "--tuple", "not json")
     assert code == 1
+
+
+def test_rank_engines_agree(files, capsys):
+    db, query = files
+    order = ("--order", "x1,x2,x3,x4")
+    answer = {"x1": "0", "x2": "1", "x3": "1", "x4": "0"}
+    missing = {"x1": "1", "x2": "0", "x3": "0", "x4": "0"}  # T(1,0) is not stored
+    for t, expected in ((answer, "3"), (missing, "4")):
+        ranks = []
+        for engine in ("circuit", "reduction"):
+            code, out, _ = run(capsys, "rank", db, query, *order, "--engine", engine, "--tuple", json.dumps(t))
+            assert code == 0
+            ranks.append(json.loads(out)["rank"])
+        assert ranks == [expected, expected]
 
 
 def test_enumerate_matches_sorted_oracle_across_engines(files, capsys):

@@ -109,6 +109,6 @@ def test_answers_window_is_checked_before_yielding(ex51):
     assert len(everything) == 8
     assert list(engine.answers(6, 3)) == everything[5:]
     assert list(engine.answers(9)) == []
-    for start, limit in ((7, 5), (0, 2), (9, 1)):
+    for start, limit in ((7, 5), (0, 2), (9, 1), (2, -1)):
         with pytest.raises(OutOfRangeError):
             engine.answers(start, limit)

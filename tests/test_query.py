@@ -1,10 +1,6 @@
-import itertools
-import random
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from conftest import example51_db, example51_query, instances
+from conftest import example51_db, example51_query
 from cqda.errors import (
     ArityMismatchError,
     QuerySyntaxError,
@@ -20,10 +16,8 @@ from cqda.query import (
     eval_bruteforce,
     hypergraph_of,
     parse_query,
-    simplify,
-    tau_components,
 )
-from cqda.relations import Database, Domain, Relation, select_prefix
+from cqda.relations import Database, Domain, Relation
 
 
 def test_parse_single_atom():
@@ -104,46 +98,6 @@ def test_check_compatible():
         check_compatible(parse_query("Q() :- U(x)."), db)
 
 
-def test_simplify_drops_incompatible_negative():
-    q, db = example51_query(), example51_db()
-    tau = {"x1": "0", "x2": "0", "x3": "1"}
-    reduced, dropped = simplify(q, tau, db)
-    assert {a.symbol for a in reduced.atoms} == {"T", "R"}
-    assert dropped == frozenset()  # x4 still occurs in R
-    same, _ = simplify(q, {}, db)
-    assert same.atoms == q.atoms
-
-
-def test_simplify_records_freed_variables():
-    db = Database(
-        Domain(("0", "1")),
-        {"S": Relation.from_rows(("c0", "c1"), [("0", "0")])},
-    )
-    q = SignedQuery((Atom(False, "S", ("x", "y")),))
-    reduced, dropped = simplify(q, {"x": "1"}, db)
-    assert reduced.atoms == ()
-    assert dropped == frozenset({"y"})
-
-
-def test_tau_components_example51():
-    q = example51_query()
-    whole = tau_components(q, frozenset())
-    assert len(whole.components) == 1  # S bridges T and R
-
-    after = tau_components(q.subquery([1, 2]), {"x1"})
-    assert len(after.components) == 2
-
-    done = tau_components(q, {"x1", "x2", "x3", "x4"})
-    assert done.components == () and len(done.settled) == 3
-
-
-def test_tau_components_depend_only_on_assigned_set():
-    q = example51_query()
-    a = tau_components(q, {"x1", "x2"})
-    b = tau_components(q, {"x2", "x1"})
-    assert a == b
-
-
 def test_eval_bruteforce_example51():
     assert len(eval_bruteforce(example51_query(), example51_db()).rows) == 8
 
@@ -172,49 +126,3 @@ def test_eval_bruteforce_projects_free():
     q, db = example51_query(), example51_db()
     projected = eval_bruteforce(SignedQuery(q.atoms, frozenset({"x1", "x2"})), db)
     assert len(projected.rows) == 4
-
-
-@given(instances())
-@settings(max_examples=60, deadline=None)
-def test_simplification_identity(inst):
-    # answers with tau = (answers of the simplified query with tau) x D^freed
-    q, db = inst.query, inst.db
-    rng = random.Random(0)
-    vars = sorted(q.variables)
-    prefix = vars[: rng.randint(0, len(vars))]
-    for values in itertools.islice(itertools.product(db.domain.values, repeat=len(prefix)), 8):
-        tau = dict(zip(prefix, values))
-        reduced, dropped = simplify(q, tau, db)
-        full = select_prefix(eval_bruteforce(q, db), tau)
-        small = select_prefix(eval_bruteforce(reduced, db), {v: d for v, d in tau.items() if v in reduced.variables}) if reduced.atoms else None
-        expected = len(full.rows)
-        if reduced.atoms:
-            got = len(small.rows) * len(db.domain) ** len(dropped)
-        else:
-            sat = all(atom_consistent(a, tau, db) for a in q.atoms)
-            free = len(q.variables - set(tau))
-            got = (len(db.domain) ** free) if sat else 0
-        assert expected == got
-
-
-@given(instances())
-@settings(max_examples=60, deadline=None)
-def test_component_product_identity(inst):
-    # if the settled atoms accept tau, answers factor across components
-    q, db = inst.query, inst.db
-    rng = random.Random(1)
-    vars = sorted(q.variables)
-    assigned = set(rng.sample(vars, rng.randint(0, len(vars))))
-    tau = {v: rng.choice(db.domain.values) for v in assigned}
-    parts = tau_components(q, assigned)
-    if not all(atom_consistent(a, tau, db) for a in parts.settled):
-        return
-    whole = len(select_prefix(eval_bruteforce(q, db), tau).rows)
-    product = 1
-    seen_vars = set(assigned)
-    for comp in parts.components:
-        comp_tau = {v: d for v, d in tau.items() if v in comp.variables}
-        product *= len(select_prefix(eval_bruteforce(comp, db), comp_tau).rows)
-        seen_vars |= comp.variables
-    product *= len(db.domain) ** len(q.variables - seen_vars)
-    assert whole == product

@@ -5,23 +5,42 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import example51_db, example51_query, instances
+from cqda.access import rank_by_kth
 from cqda.errors import OutOfRangeError
 from cqda.project import da_conjunctive
 from cqda.query import SignedQuery, eval_bruteforce
 from cqda.reduction import (
-    ExplicitProvider,
     QnnSpec,
+    SubtractedProvider,
     positive_part,
     qnn_da,
-    rank_via_da,
     signed_da_via_reduction,
-    subtract_da,
 )
 from cqda.relations import Assignment, Domain, Relation, VarOrder, sort_lex
 
 
 D3 = Domain(("0", "1", "2"))
 XY = VarOrder(("x", "y"))
+
+
+class ExplicitProvider:
+    """Direct access over a materialised relation; the small-case oracle."""
+
+    def __init__(self, rel: Relation, order: VarOrder, domain: Domain):
+        self.universe = order
+        self.domain = domain
+        self._sorted = sort_lex(rel, order, domain)
+
+    def count(self) -> int:
+        return len(self._sorted)
+
+    def kth(self, k: int) -> Assignment:
+        if not 1 <= k <= len(self._sorted):
+            raise OutOfRangeError(f"k out of range (count={len(self._sorted)})")
+        return self._sorted[k - 1]
+
+    def rank_of(self, t) -> int:
+        return rank_by_kth(self.kth, self.count(), t, self.universe, self.domain)
 
 
 def provider(rows):
@@ -35,12 +54,12 @@ def full_square():
 def test_rank_via_da_inverse():
     p = provider(full_square())
     for k in range(1, p.count() + 1):
-        assert rank_via_da(p, p.kth(k)) == k
+        assert p.rank_of(p.kth(k)) == k
 
 
 def test_rank_via_da_below_minimum():
     p = provider([("1", "1"), ("2", "0")])
-    assert rank_via_da(p, Assignment({"x": "0", "y": "0"})) == 0
+    assert p.rank_of(Assignment({"x": "0", "y": "0"})) == 0
 
 
 def test_rank_via_da_matches_bruteforce_count():
@@ -54,16 +73,16 @@ def test_rank_via_da_matches_bruteforce_count():
             for s in everything
             if (D3.rank(s["x"]), D3.rank(s["y"])) <= (D3.rank(t["x"]), D3.rank(t["y"]))
         )
-        assert rank_via_da(p, t) == expected
+        assert p.rank_of(t) == expected
 
 
 def test_subtract_identity_and_empty():
     square = provider(full_square())
     nothing = provider([])
-    same = subtract_da(square, nothing)
+    same = SubtractedProvider(square, nothing)
     assert same.count() == 9
     assert [same.kth(k) for k in range(1, 10)] == [square.kth(k) for k in range(1, 10)]
-    gone = subtract_da(square, provider(full_square()))
+    gone = SubtractedProvider(square, provider(full_square()))
     assert gone.count() == 0
     with pytest.raises(OutOfRangeError):
         gone.kth(1)
@@ -72,7 +91,7 @@ def test_subtract_identity_and_empty():
 def test_subtract_diagonal():
     square = provider(full_square())
     diag = provider([(v, v) for v in D3.values])
-    diff = subtract_da(square, diag)
+    diff = SubtractedProvider(square, diag)
     assert diff.count() == 6
     expected = sort_lex(
         Relation.from_rows(("x", "y"), [r for r in full_square() if r[0] != r[1]]), XY, D3
@@ -88,7 +107,7 @@ def test_subtract_matches_set_difference(seed):
         tuple(rng.choice(D3.values) for _ in range(2)) for _ in range(rng.randint(0, 9))
     }
     small_rows = {r for r in big_rows if rng.random() < 0.5}
-    diff = subtract_da(provider(sorted(big_rows)), provider(sorted(small_rows)))
+    diff = SubtractedProvider(provider(sorted(big_rows)), provider(sorted(small_rows)))
     expected = sort_lex(Relation.from_rows(("x", "y"), big_rows - small_rows), XY, D3)
     assert diff.count() == len(expected)
     assert [diff.kth(k) for k in range(1, diff.count() + 1)] == expected
@@ -126,12 +145,12 @@ def test_qnn_base_and_flip_cases(ex51):
         return da_conjunctive(positive_part(q, flipped), db, order)
 
     # no kept negatives: provider for the positive part alone
-    plain = qnn_da(q, QnnSpec(frozenset(), frozenset()), db, order, base)
+    plain = qnn_da(QnnSpec(frozenset(), frozenset()), base)
     oracle = sort_lex(eval_bruteforce(positive_part(q, frozenset()), db), order, db.domain)
     assert plain.count() == len(oracle)
 
     # flipped negative: conjunction with the atom made positive
-    flipped = qnn_da(q, QnnSpec(neg, frozenset()), db, order, base)
+    flipped = qnn_da(QnnSpec(neg, frozenset()), base)
     oracle = sort_lex(eval_bruteforce(positive_part(q, neg), db), order, db.domain)
     assert flipped.count() == len(oracle)
     assert [flipped.kth(k) for k in range(1, flipped.count() + 1)] == oracle
@@ -148,6 +167,19 @@ def test_cross_engine_equivalence(inst):
     for k, expected in enumerate(oracle, 1):
         assert red.kth(k) == expected
         assert eng.kth(k) == expected
+
+
+@given(instances(max_vars=4, max_atoms=3, max_dom=3), st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_reduction_rank_of_inverts_kth_and_matches_circuit(inst, seed):
+    q, db, order = inst.query, inst.db, inst.order
+    red = signed_da_via_reduction(q, db, order)
+    eng = da_conjunctive(q, db, order)
+    for k in range(1, red.count() + 1):
+        assert red.rank_of(red.kth(k)) == k
+    rng = random.Random(seed)
+    t = Assignment({v: rng.choice(db.domain.values) for v in order.vars})
+    assert red.rank_of(t) == eng.rank_of(t)
 
 
 @given(instances(max_vars=3, max_atoms=3, max_dom=3, max_tuples=5))
@@ -172,7 +204,7 @@ def test_every_qnn_combination_matches_bruteforce(inst):
             return signed_engine(n1, n2)
         r = max(n1)
         rest = n1 - {r}
-        return subtract_da(provider_for(rest, n2), provider_for(rest, n2 | {r}))
+        return SubtractedProvider(provider_for(rest, n2), provider_for(rest, n2 | {r}))
 
     for take in range(len(negatives) + 1):
         for n1 in map(frozenset, itertools.combinations(negatives, take)):
