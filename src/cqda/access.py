@@ -28,8 +28,6 @@ class AccessIndex:
     rel_count: dict[int, int]
     var_mask: dict[int, int]
     prefix_counts: dict[int, list[int]]      # decision gate -> running counts per edge
-    edge_values: dict[int, list[str]]        # decision gate -> edge values, ascending
-    edge_children: dict[int, list[int]]
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,6 @@ def preprocess(c: Circuit) -> AccessIndex:
     rel_count: dict[int, int] = {}
     var_mask: dict[int, int] = {}
     prefix_counts: dict[int, list[int]] = {}
-    edge_values: dict[int, list[str]] = {}
-    edge_children: dict[int, list[int]] = {}
 
     for gid in c.reachable():
         g = c.gates[gid]
@@ -83,9 +79,7 @@ def preprocess(c: Circuit) -> AccessIndex:
                 counts.append(running)
             rel_count[gid], var_mask[gid] = running, mask
             prefix_counts[gid] = counts
-            edge_values[gid] = [v for v, _ in g.edges]
-            edge_children[gid] = [child for _, child in g.edges]
-    return AccessIndex(rel_count, var_mask, prefix_counts, edge_values, edge_children)
+    return AccessIndex(rel_count, var_mask, prefix_counts)
 
 
 def count(c: Circuit, idx: AccessIndex) -> int:
@@ -113,28 +107,28 @@ def _expand(c: Circuit, gates: Iterator[int] | list[int]) -> tuple[int, ...] | N
 def frontier(c: Circuit, idx: AccessIndex, tau: Mapping[str, str]) -> Frontier:
     """Gates left after committing a prefix assignment of the universe.
 
-    Starting from the output, product gates dissolve into their sinks
-    and decision gates on bound variables are crossed along the matching
-    edge; a missing edge or a Bot gate empties the frontier.
+    Starting from the output, product gates dissolve into their sinks;
+    the bound variables are taken in universe order, and the frontier's
+    decision gate on each is crossed along the matching edge.  A missing
+    edge or a Bot gate empties the frontier.
     """
     prefix = c.universe.vars[: len(tau)]
     if set(prefix) != set(tau):
         raise NotAPrefixError("assignment must bind a prefix of the universe order")
     gates = _expand(c, [c.output])
-    changed = True
-    while gates is not None and changed:
-        changed = False
-        for i, gid in enumerate(gates):
+    for x in prefix:
+        for gid in gates or ():
             g = c.gates[gid]
-            if isinstance(g, DecisionGate) and g.var in tau:
-                child = _edge_child(c, g, tau[g.var])
-                rest = gates[:i] + gates[i + 1:]
-                gates = None if child is None else _expand(c, [child])
-                if gates is not None:
-                    gates = rest + gates
-                changed = True
+            if isinstance(g, DecisionGate) and g.var == x:
+                gates = _cross(c, gates, gid, _edge_child(c, g, tau[x]))
                 break
     return Frontier(gates)
+
+
+def _cross(c: Circuit, gates: tuple[int, ...], gid: int, child: int | None) -> tuple[int, ...] | None:
+    """Frontier after crossing decision gate ``gid`` into ``child``; ``None`` once empty."""
+    expanded = None if child is None else _expand(c, [child])
+    return None if expanded is None else tuple(g for g in gates if g != gid) + expanded
 
 
 def _edge_child(c: Circuit, g: DecisionGate, value: str) -> int | None:
@@ -152,9 +146,10 @@ def _oracle(c: Circuit, idx: AccessIndex, gates: tuple[int, ...], p: int, n: int
     """Smallest value for variable ``p`` reaching ``n`` extensions, and the
     count of extensions strictly below it.
 
-    Returns ``(value, below, crossed)`` where ``crossed`` is the
-    frontier's decision gate on ``p`` paired with the child behind its
-    chosen edge, or ``None`` when no frontier gate tests ``p``.
+    Returns ``(value, below, after)`` where ``after`` is the frontier
+    once ``p`` is bound to ``value``: the frontier's decision gate on
+    ``p``, if any, is crossed along the chosen edge.  ``None`` means the
+    edge led to an empty branch.
     """
     dsize = len(c.domain)
     x = c.universe.vars[p]
@@ -164,7 +159,7 @@ def _oracle(c: Circuit, idx: AccessIndex, gates: tuple[int, ...], p: int, n: int
         var_mask |= idx.var_mask[gid]
         g = c.gates[gid]
         if isinstance(g, DecisionGate) and g.var == x:
-            gate_on_x = gid
+            gate_on_x, edges = gid, g.edges
     free_rest = (len(c.universe) - p) - var_mask.bit_count()
 
     if gate_on_x is not None:
@@ -180,7 +175,8 @@ def _oracle(c: Circuit, idx: AccessIndex, gates: tuple[int, ...], p: int, n: int
         if i == len(counts):
             raise OutOfRangeError("n exceeds the number of extensions")
         below = counts[i - 1] * product if i > 0 else 0
-        return idx.edge_values[gate_on_x][i], below, (gate_on_x, idx.edge_children[gate_on_x][i])
+        value, child = edges[i]
+        return value, below, _cross(c, gates, gate_on_x, child)
 
     product = dsize ** (free_rest - 1)
     for gid in gates:
@@ -190,7 +186,7 @@ def _oracle(c: Circuit, idx: AccessIndex, gates: tuple[int, ...], p: int, n: int
     r = -(-n // product)
     if r > dsize:
         raise OutOfRangeError("n exceeds the number of extensions")
-    return c.domain.value_at(r), (r - 1) * product, None
+    return c.domain.value_at(r), (r - 1) * product, gates
 
 
 def count_leq(c: Circuit, idx: AccessIndex, tau: Mapping[str, str], n: int) -> tuple[str, int]:
@@ -219,16 +215,11 @@ def direct_access(c: Circuit, idx: AccessIndex, k: int) -> Assignment:
     gates = _expand(c, [c.output])
     bound: dict[str, str] = {}
     for p in range(len(c.universe)):
-        value, below, crossed = _oracle(c, idx, gates, p, k)
+        value, below, gates = _oracle(c, idx, gates, p, k)
+        if gates is None:
+            raise UnsatisfiableError("descended into an empty branch")
         bound[c.universe.vars[p]] = value
         k -= below
-        if crossed is not None:
-            gate_on_x, child = crossed
-            rest = tuple(g for g in gates if g != gate_on_x)
-            expanded = _expand(c, [child])
-            if expanded is None:
-                raise UnsatisfiableError("descended into an empty branch")
-            gates = rest + expanded
     return Assignment(bound)
 
 
@@ -241,6 +232,8 @@ def rank_by_kth(
     ``order``; binary search over it gives the 1-based rank of ``t``
     when listed, else the rank of the largest listed tuple below it.
     """
+    if set(t) != set(order.vars):
+        raise ValueError("rank needs a tuple over the full universe")
     lo, hi = 0, total
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -253,19 +246,20 @@ def rank_by_kth(
 
 def rank(c: Circuit, idx: AccessIndex, t: Mapping[str, str]) -> int:
     """Number of tuples at most ``t`` in the circuit's relation (an answer's 1-based rank)."""
-    if set(t) != set(c.universe.vars):
-        raise ValueError("rank needs a tuple over the full universe")
     return rank_by_kth(partial(direct_access, c, idx), count(c, idx), t, c.universe, c.domain)
 
 
 def answer_window(total: int, start: int = 1, limit: int | None = None) -> range:
     """Indices ``start .. start+limit-1``, checked against ``1..total``.
 
-    Without ``limit`` the window runs to the last answer.  Callers check
-    the window before producing any answer, so a bad window yields none.
+    Without ``limit`` the window runs to the last answer, and ``start``
+    may be ``total + 1`` for the empty tail.  Callers check the window
+    before producing any answer, so a bad window yields none.
     """
     if limit is None:
-        limit = max(0, total - start + 1)
+        if not 1 <= start <= total + 1:
+            raise OutOfRangeError(f"window start {start} outside 1..{total + 1}")
+        limit = total - start + 1
     if limit < 0:
         raise OutOfRangeError(f"window limit {limit} is negative")
     if limit == 0:

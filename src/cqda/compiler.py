@@ -11,11 +11,15 @@ triejoin), or on the whole domain when no positive atom mentions ``x``.
 A negated atom on ``x`` excludes a value once it binds a stored row, and
 drops out once no stored row extends the binding.  Unsupported values
 get no edge, and neither do branches whose subcircuit is empty, so the
-circuit holds no Bot gate unless the query is unsatisfiable.  Recursive
-calls are cached by subquery identity plus the assignment restricted to
-the subquery's variables; Cartesian-product structure is detected by
-splitting the remaining atoms into components connected through
-unassigned variables.
+circuit holds no Bot gate unless the query is unsatisfiable.
+
+Each branch value, and the root, splits the remaining atoms into
+components connected through unassigned variables and takes their
+product; the first empty component ends the product, so no sibling
+after it is compiled.  Calls are generators: a product yields each
+component's call, and one loop runs the calls on an explicit stack, so
+deep orders never meet Python's recursion limit.  That loop caches each
+call by its atoms plus the values bound to their variables.
 
 ``binarize`` rewrites a database and query onto the two-value domain,
 spending ceil(log2 |D|) bit variables per original variable.  The bit
@@ -51,25 +55,6 @@ class CompileStats:
 
 
 _EMPTY = -1  # result of a call whose relation is empty; it never becomes a gate
-
-
-class _Frame:
-    """One suspended compilation call in the explicit DPLL stack."""
-
-    __slots__ = ("key", "aids", "tau", "x", "values", "negs", "i", "edges", "dest", "children", "value")
-
-    def __init__(self, key, aids, tau, x, values, negs, dest):
-        self.key = key
-        self.aids = aids
-        self.tau = tau
-        self.x = x
-        self.values = values  # supported values of x, ascending
-        self.negs = negs  # (atom id, trie node, x is its last level) per negated atom on x
-        self.i = 0
-        self.edges = []
-        self.dest = dest  # (list, slot) receiving the finished gate id
-        self.children = None
-        self.value = None
 
 
 def _descend(node: dict, levels: tuple[str, ...], tau: Mapping[str, str], x: str) -> dict:
@@ -179,82 +164,75 @@ def dpll_compile(
             plans[key] = got
         return got
 
-    cache: dict[tuple, int] = {}
-    stack: list[_Frame] = []
+    def product(aids: tuple, px: int, tau: dict):
+        """Product of the components left once the variables at position >= px are bound.
 
-    def push_call(call: tuple, tau: dict, dest) -> None:
-        # tau lists the bound variables by name; every positive atom has a row matching it
+        Yields each component's call, ``(plan entry, its bound values)``,
+        and receives its gate; the first empty component ends the product.
+        """
+        kids = []
+        for call in plan(aids, px):
+            gate = yield call, {v: tau[v] for v in call[1]}
+            if gate == _EMPTY:
+                return _EMPTY
+            kids.append(gate)
+        if not kids:
+            return circuit.top()
+        return kids[0] if len(kids) == 1 else circuit.add_product(kids)
+
+    def branch(call: tuple, tau: dict):
+        """Decision gate of one call, or ``_EMPTY``; ``tau`` is the call's own dict."""
         aids, _, x, on_x = call
-        key = (aids, tuple(tau.items()))
-        hit = cache.get(key)
-        if hit is not None:
-            stats.cache_hits += 1
-            dest[0][dest[1]] = hit
-            return
-        stats.rec_calls += 1
         guards = []
-        negs = []
+        negs = []  # (atom id, trie node, x is its last level) per negated atom on x
         for aid, positive, last in on_x:
             node = _descend(tries[aid], levels[aid], tau, x)
             if positive:
                 guards.append(node)
             else:
                 negs.append((aid, node, last))
-        values = _supported(guards, domain, rank)
-        stack.append(_Frame(key, aids, tau, x, values, negs, dest))
-
-    def drain() -> None:
-        while stack:
-            fr = stack[-1]
-            if fr.children is not None:
-                kids = fr.children
-                if _EMPTY not in kids:
-                    gate = kids[0] if len(kids) == 1 else circuit.add_product(kids)
-                    fr.edges.append((fr.value, gate))
-                fr.children = None
-            if fr.i == len(fr.values):
-                gate = circuit.add_decision(fr.x, fr.edges) if fr.edges else _EMPTY
-                cache[fr.key] = gate
-                fr.dest[0][fr.dest[1]] = gate
-                stack.pop()
-                continue
-            d = fr.values[fr.i]
-            fr.i += 1
-            # positive atoms support d by construction; only negated atoms on x remain
+        edges = []
+        # positive atoms support every value by construction; only negated atoms on x remain
+        for d in _supported(guards, domain, rank):
             dropped = set()
-            for aid, node, last in fr.negs:
+            for aid, node, last in negs:
                 if d not in node:
                     dropped.add(aid)  # no stored row extends the binding: satisfied
                 elif last:
                     break  # the fully bound row is stored: d is excluded
             else:
-                kept = tuple(aid for aid in fr.aids if aid not in dropped) if dropped else fr.aids
-                calls = plan(kept, position[fr.x])
-                if not calls:
-                    fr.edges.append((d, circuit.top()))
-                    continue
-                tau = fr.tau  # the frame's own dict: its key and trie walks are done
-                tau[fr.x] = d
-                fr.children = [None] * len(calls)
-                fr.value = d
-                for slot in range(len(calls) - 1, -1, -1):
-                    call = calls[slot]
-                    push_call(call, {v: tau[v] for v in call[1]}, (fr.children, slot))
+                kept = tuple(aid for aid in aids if aid not in dropped) if dropped else aids
+                tau[x] = d
+                gate = yield from product(kept, position[x], tau)
+                if gate != _EMPTY:
+                    edges.append((d, gate))
+        return circuit.add_decision(x, edges) if edges else _EMPTY
 
     out = _EMPTY
     if all(tries[aid] for aid in range(len(atoms)) if atoms[aid].positive):
         # a negated atom over an empty relation holds everywhere
         kept = tuple(aid for aid in range(len(atoms)) if atoms[aid].positive or tries[aid])
-        calls = plan(kept, len(order))
-        results: list = [None] * len(calls)
-        for slot, call in enumerate(calls):
-            push_call(call, {}, (results, slot))
-            drain()
-        if _EMPTY not in results:
-            if not results:
-                out = circuit.top()
+        # one loop drives the calls, so depth never meets Python's recursion limit
+        stack = [(None, product(kept, len(order), {}))]
+        cache: dict[tuple, int] = {}
+        out = None  # what the next send passes to the generator on top
+        while stack:
+            key, gen = stack[-1]
+            try:
+                call, tau = gen.send(out)
+            except StopIteration as done:
+                stack.pop()
+                out = done.value
+                if key is not None:
+                    cache[key] = out
+                continue
+            key = (call[0], tuple(tau.items()))
+            out = cache.get(key)
+            if out is None:
+                stats.rec_calls += 1
+                stack.append((key, branch(call, tau)))
             else:
-                out = results[0] if len(results) == 1 else circuit.add_product(results)
+                stats.cache_hits += 1
     circuit.set_output(circuit.bot() if out == _EMPTY else out)
 
     stats.gates = len(circuit.gates)

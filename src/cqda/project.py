@@ -82,13 +82,13 @@ class CircuitEngine:
         raw = acc.direct_access(self.circuit, self.index, k)
         if self.codec is None:
             return raw
-        return debin_tuple(raw, self.codec).restrict(self.universe.vars)
+        return debin_tuple(raw, self.codec)
 
     def rank_of(self, t: Mapping[str, str]) -> int:
-        if self.codec is None:
-            return acc.rank(self.circuit, self.index, t)
-        encoded = self.codec.encode_assignment({v: t[v] for v in self.universe.vars})
-        return acc.rank(self.circuit, self.index, encoded)
+        # a missing or extra variable encodes to the wrong bit variables, which rank rejects
+        if self.codec is not None:
+            t = self.codec.encode_assignment(t)
+        return acc.rank(self.circuit, self.index, t)
 
     def answers(self, start: int = 1, limit: int | None = None) -> Iterator[Assignment]:
         """Answers ``start .. start+limit-1``; raises before yielding if the window is out of range."""

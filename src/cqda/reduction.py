@@ -6,9 +6,10 @@ pipeline.  It peels negated atoms one at a time: answers with atom
 and set difference lifts to direct access through ranking plus binary
 search.  Every provider answers ``count()``, ``kth(k)`` and
 ``rank_of(t)`` over a common universe and significance order, the same
-contract as ``CircuitEngine``; ``rank_of`` is ``access.rank_by_kth``
-over the provider's own ``kth``.  Derived providers memoise ``kth``
-because the nested binary searches revisit indices heavily.
+contract as ``CircuitEngine``.  A base provider's ``rank_of`` is
+``access.rank_by_kth`` over its own ``kth``; a difference ranks by
+subtracting its two sides' ranks.  Providers memoise ``kth`` because
+the nested binary searches revisit indices heavily.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ class SubtractedProvider:
 
     The k-th element is found by binary search over ranks of S2: a
     candidate at S2-rank ``r`` has difference-rank ``r`` minus its
-    S1-rank, and that difference is nondecreasing in ``r``.
+    S1-rank, and that difference is nondecreasing in ``r``.  As S1 lies
+    inside S2, any tuple's rank is its S2-rank minus its S1-rank.
     """
 
     big: object
@@ -78,7 +80,7 @@ class SubtractedProvider:
         return result
 
     def rank_of(self, t: Mapping[str, str]) -> int:
-        return rank_by_kth(self.kth, self.count(), t, self.universe, self.domain)
+        return self.big.rank_of(t) - self.small.rank_of(t)
 
 
 class _MemoProvider:

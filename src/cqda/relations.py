@@ -81,15 +81,8 @@ class VarOrder:
     def reversed(self) -> VarOrder:
         return VarOrder(self.vars[::-1])
 
-    def restrict(self, names: Iterable[str]) -> VarOrder:
-        keep = set(names)
-        return VarOrder(tuple(v for v in self.vars if v in keep))
-
     def min_of(self, names: Iterable[str]) -> str:
         return min(names, key=self._pos.__getitem__)
-
-    def max_of(self, names: Iterable[str]) -> str:
-        return max(names, key=self._pos.__getitem__)
 
 
 class Assignment(Mapping):
@@ -125,28 +118,6 @@ class Assignment(Mapping):
         inner = ", ".join(f"{v}={d!r}" for v, d in self._items)
         return f"Assignment({inner})"
 
-    def restrict(self, names: Iterable[str]) -> Assignment:
-        keep = set(names)
-        return Assignment({v: d for v, d in self._map.items() if v in keep})
-
-    def extend(self, var: str, value: str) -> Assignment:
-        return Assignment({**self._map, var: value})
-
-    def compatible(self, other: Mapping[str, str]) -> bool:
-        small, big = (self._map, other) if len(self) <= len(other) else (other, self._map)
-        return all(big.get(v, d) == d for v, d in small.items())
-
-    def joined(self, other: Mapping[str, str]) -> Assignment:
-        """Union of two compatible assignments."""
-        merged = dict(self._map)
-        for v, d in other.items():
-            if merged.setdefault(v, d) != d:
-                raise ValueError(f"incompatible bindings for {v}")
-        return Assignment(merged)
-
-
-EMPTY_ASSIGNMENT = Assignment()
-
 
 @dataclass(frozen=True)
 class Relation:
@@ -171,11 +142,6 @@ class Relation:
     def from_rows(cls, vars: Iterable[str], rows: Iterable[Iterable[str]]) -> Relation:
         return cls(tuple(vars), frozenset(tuple(r) for r in rows))
 
-    @classmethod
-    def from_assignments(cls, vars: Iterable[str], tuples: Iterable[Mapping[str, str]]) -> Relation:
-        vs = tuple(vars)
-        return cls(vs, frozenset(tuple(t[v] for v in vs) for t in tuples))
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -185,9 +151,6 @@ class Relation:
     def assignments(self) -> Iterator[Assignment]:
         for row in self.rows:
             yield Assignment(zip(self.vars, row))
-
-    def rename(self, new_vars: Iterable[str]) -> Relation:
-        return Relation(tuple(new_vars), self.rows)
 
     def trie(self, perm: tuple[int, ...]) -> dict:
         """Nested-dict prefix tree over columns taken in ``perm`` order.

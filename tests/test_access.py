@@ -147,6 +147,11 @@ def test_rank_and_enumerate_roundtrip():
         list(enumerate_answers(c, idx, 10, 6))
     with pytest.raises(OutOfRangeError):
         enumerate_answers(c, idx, 2, -1)
+    # without a limit the start may be one past the end, not further
+    assert list(enumerate_answers(c, idx, 15)) == []
+    for start in (0, 16):
+        with pytest.raises(OutOfRangeError):
+            enumerate_answers(c, idx, start)
 
 
 def test_rank_of_absent_tuple_counts_predecessors():

@@ -99,6 +99,11 @@ def test_enumerate_window_and_empty(files, capsys):
     code, out, err = run(capsys, "enumerate", db, query, "--limit", "-3")
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+    code, out, err = run(capsys, "enumerate", db, query, "--from", "50")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+    code, out, _ = run(capsys, "enumerate", db, query, "--from", "9")
+    assert code == 0 and out == ""
 
 
 def test_rank_command(files, capsys):

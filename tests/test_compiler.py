@@ -60,6 +60,23 @@ def test_compile_disconnected_query_makes_product():
     assert count(circuit, preprocess(circuit)) == 2
 
 
+def test_empty_component_ends_the_product():
+    # at x=a the S/N component excludes its only z value, so the R component is never compiled
+    db = Database(
+        Domain(("a", "b")),
+        {
+            "S": Relation.from_rows(("c0", "c1"), [("a", "a"), ("b", "a")]),
+            "N": Relation.from_rows(("c0", "c1"), [("a", "a")]),
+            "R": Relation.from_rows(("c0", "c1"), [("a", "a"), ("b", "a")]),
+        },
+    )
+    q = parse_query("Q(*) :- S(x,z), !N(x,z), R(x,y).")
+    circuit, stats = dpll_compile(q, db, VarOrder(("x", "y", "z")).reversed())
+    assert len(circuit.reachable()) == len(circuit.gates)
+    assert stats.rec_calls == 4
+    assert count(circuit, preprocess(circuit)) == 1
+
+
 def test_compile_order_contract(ex51):
     q, db, order = ex51
     circuit, _ = dpll_compile(q, db, order.reversed())

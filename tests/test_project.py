@@ -9,7 +9,7 @@ from cqda.circuit import circuit_size, semantics_bruteforce, validate_decomposab
 from cqda.compiler import dpll_compile
 from cqda.errors import NotFreeConnexError
 from cqda.project import CircuitEngine, da_conjunctive, project_circuit
-from cqda.query import SignedQuery, eval_bruteforce
+from cqda.query import SignedQuery, eval_bruteforce, parse_query
 from cqda.relations import Assignment, Relation, VarOrder, sort_lex
 
 
@@ -98,6 +98,23 @@ def test_da_conjunctive_random_free_prefix(inst):
         assert got == oracle
         for k, t in enumerate(got, 1):
             assert engine.rank_of(t) == k
+
+
+@pytest.mark.parametrize("engine", ["binarized", "raw", "reduction"])
+def test_rank_of_needs_every_answer_variable(ex51, engine):
+    from cqda.reduction import signed_da_via_reduction
+
+    q, db, order = ex51
+    # no answers: T(0,0) is not stored, and S holds only (0,0,0,0)
+    empty = parse_query("Q(x1,x2,x3,x4) :- S(x1,x2,x3,x4), T(x1,x3), !R(x2,x4).")
+    for query in (q, empty):
+        if engine == "reduction":
+            handle = signed_da_via_reduction(query, db, order)
+        else:
+            handle = da_conjunctive(query, db, order, binarize=engine == "binarized")
+        assert handle.count() == (8 if query is q else 0)
+        with pytest.raises(ValueError):
+            handle.rank_of({"x1": "0"})
 
 
 def test_answers_window_is_checked_before_yielding(ex51):
