@@ -234,6 +234,8 @@ def rank_by_kth(
     """
     if set(t) != set(order.vars):
         raise ValueError("rank needs a tuple over the full universe")
+    for value in t.values():
+        domain.rank(value)  # raises ValueError for a value outside the domain
     lo, hi = 0, total
     while lo < hi:
         mid = (lo + hi + 1) // 2

@@ -52,6 +52,7 @@ def database_from_dict(doc: dict) -> Database:
     if len(set(domain_values)) != len(domain_values):
         raise DatabaseFormatError("domain values must be distinct")
     domain = Domain(tuple(domain_values))
+    known = frozenset(domain_values)
     if not isinstance(doc["relations"], dict):
         raise DatabaseFormatError("'relations' must be an object mapping names to relations")
     relations: dict[str, Relation] = {}
@@ -67,9 +68,13 @@ def database_from_dict(doc: dict) -> Database:
         for row in spec["tuples"]:
             if not isinstance(row, list) or len(row) != arity:
                 raise DatabaseFormatError(f"relation {name}: tuple width differs from arity")
-            for value in row:
-                if not isinstance(value, str) or value not in domain:
-                    raise DatabaseFormatError(f"relation {name}: value {value!r} outside the domain")
+            try:
+                inside = known.issuperset(row)
+            except TypeError:  # an unhashable cell, so not a domain value
+                inside = False
+            if not inside:
+                value = next(v for v in row if not isinstance(v, str) or v not in known)
+                raise DatabaseFormatError(f"relation {name}: value {value!r} outside the domain")
             rows.add(tuple(row))  # duplicates collapse silently: relations are sets
         relations[name] = Relation(tuple(f"c{j}" for j in range(arity)), frozenset(rows))
     return Database(domain, relations)

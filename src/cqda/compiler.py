@@ -18,8 +18,18 @@ components connected through unassigned variables and takes their
 product; the first empty component ends the product, so no sibling
 after it is compiled.  Calls are generators: a product yields each
 component's call, and one loop runs the calls on an explicit stack, so
-deep orders never meet Python's recursion limit.  That loop caches each
-call by its atoms plus the values bound to their variables.
+deep orders never meet Python's recursion limit.
+
+That loop caches each call by its plan entry (its atoms, which of their
+variables are bound, and the variable its gate tests) plus, per atom,
+the canonical id of its residual subtrie: the trie node its bound levels
+reach.  Every trie is hash-consed bottom-up, once per compile and with
+one intern table for all atoms, so equal subtries get equal ids.  The
+key is sound because a call's circuit depends only on those residual
+relations and on the variables the plan entry names.  Equal bound values
+reach the same node, so the key is never finer than keying by the bound
+values; it is the component caching of #SAT compilers applied to shared
+subtries.
 
 ``binarize`` rewrites a database and query onto the two-value domain,
 spending ceil(log2 |D|) bit variables per original variable.  The bit
@@ -30,9 +40,10 @@ rewriting an order isomorphism on answers.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
-from .circuit import Circuit, circuit_size
+from .circuit import Circuit
 from .errors import RankOutOfDomainError
 from .query import Atom, SignedQuery, check_compatible
 from .relations import Assignment, Database, Domain, Relation, VarOrder
@@ -40,6 +51,8 @@ from .relations import Assignment, Database, Domain, Relation, VarOrder
 
 @dataclass
 class CompileStats:
+    """Calls run, calls answered from the cache, gates built and their edges."""
+
     rec_calls: int = 0
     cache_hits: int = 0
     gates: int = 0
@@ -57,18 +70,29 @@ class CompileStats:
 _EMPTY = -1  # result of a call whose relation is empty; it never becomes a gate
 
 
-def _descend(node: dict, levels: tuple[str, ...], tau: Mapping[str, str], x: str) -> dict:
-    """Trie node an atom reaches along its levels above ``x``.
+def _subtrie_id(node: dict, ids: dict[int, int], table: dict) -> int:
+    """Canonical id of a trie node: equal subtries, in any trie, get equal ids.
 
-    Levels run in decreasing elimination position, the order in which
-    the compiler binds variables, so ``tau`` binds exactly the levels
-    before ``x`` and the walk follows one path.
+    Hash-consing bottom-up: a node whose children are leaves is named by
+    its value set, any other node by its ``(value, child id)`` pairs, and
+    ``table`` interns the names.  ``ids`` memoises by node identity.
     """
-    for var in levels:
-        if var == x:
-            return node
-        node = node[tau[var]]
-    raise ValueError(f"{x} is not a level of this trie")
+    got = ids.get(id(node))
+    if got is None:
+        if next(iter(node.values()), None):
+            name = frozenset([(d, _subtrie_id(child, ids, table)) for d, child in node.items()])
+        else:
+            name = frozenset(node)
+        got = ids[id(node)] = table.setdefault(name, len(table))
+    return got
+
+
+def _call_key(call: tuple, nodes: list[dict], ids: dict[int, int], table: dict) -> tuple:
+    """Cache key of a call: its plan entry and the id of each atom's residual subtrie.
+
+    Plan entries are interned, so the entry's identity stands for its value.
+    """
+    return (id(call), *[_subtrie_id(nodes[aid], ids, table) for aid in call[0]])
 
 
 def _supported(guards: list[dict], domain: Domain, rank) -> Sequence[str]:
@@ -91,7 +115,8 @@ def dpll_compile(
     result computes the answer set over ``order`` reversed, which is the
     universe stored on the circuit.  Every gate reachable from the
     output computes a nonempty relation; an unsatisfiable query yields
-    the Bot gate as output.
+    the Bot gate as output.  ``stats.edges`` counts the edges of every
+    gate built, so it is at least the reachable circuit's size.
     """
     check_compatible(query, db)
     if not query.variables <= set(order.vars):
@@ -112,6 +137,8 @@ def dpll_compile(
         perm = tuple(sorted(range(len(a.args)), key=lambda i: -position[a.args[i]]))
         tries.append(rel.trie(perm))
         levels.append(tuple(a.args[i] for i in perm))
+    # per atom, the trie node its bound levels reach; branch advances and restores it
+    nodes = list(tries)
 
     def split_components(aids, px: int):
         # variables at position >= px are bound; atoms link through the others
@@ -140,6 +167,7 @@ def dpll_compile(
         return comps
 
     plans: dict[tuple, list] = {}
+    entries: dict[tuple, tuple] = {}  # each plan entry once, so calls can be keyed by its identity
 
     def plan(aids: tuple, px: int) -> list:
         """Calls left once the variables at position >= px are bound.
@@ -160,33 +188,39 @@ def dpll_compile(
                 on_x = tuple(
                     (aid, atoms[aid].positive, levels[aid][-1] == x) for aid in comp if x in var_sets[aid]
                 )
-                got.append((comp, bound, x, on_x))
+                entry = (comp, bound, x, on_x)
+                got.append(entries.setdefault(entry, entry))
             plans[key] = got
         return got
 
-    def product(aids: tuple, px: int, tau: dict):
+    def product(aids: tuple, px: int):
         """Product of the components left once the variables at position >= px are bound.
 
-        Yields each component's call, ``(plan entry, its bound values)``,
-        and receives its gate; the first empty component ends the product.
+        Yields each component's call, its plan entry, and receives its
+        gate; the first empty component ends the product.
         """
         kids = []
         for call in plan(aids, px):
-            gate = yield call, {v: tau[v] for v in call[1]}
+            gate = yield call
             if gate == _EMPTY:
                 return _EMPTY
             kids.append(gate)
         if not kids:
             return circuit.top()
-        return kids[0] if len(kids) == 1 else circuit.add_product(kids)
+        if len(kids) == 1:
+            return kids[0]
+        stats.edges += len(kids)
+        return circuit.add_product(kids)
 
-    def branch(call: tuple, tau: dict):
-        """Decision gate of one call, or ``_EMPTY``; ``tau`` is the call's own dict."""
+    def branch(call: tuple):
+        """Decision gate of one call, or ``_EMPTY``."""
         aids, _, x, on_x = call
+        at_x = []  # (atom id, trie node) per atom on x; x is the next level of each
         guards = []
         negs = []  # (atom id, trie node, x is its last level) per negated atom on x
         for aid, positive, last in on_x:
-            node = _descend(tries[aid], levels[aid], tau, x)
+            node = nodes[aid]
+            at_x.append((aid, node))
             if positive:
                 guards.append(node)
             else:
@@ -202,41 +236,49 @@ def dpll_compile(
                     break  # the fully bound row is stored: d is excluded
             else:
                 kept = tuple(aid for aid in aids if aid not in dropped) if dropped else aids
-                tau[x] = d
-                gate = yield from product(kept, position[x], tau)
+                for aid, node in at_x:
+                    if aid not in dropped:
+                        nodes[aid] = node[d]
+                gate = yield from product(kept, position[x])
                 if gate != _EMPTY:
                     edges.append((d, gate))
-        return circuit.add_decision(x, edges) if edges else _EMPTY
+        for aid, node in at_x:
+            nodes[aid] = node
+        if not edges:
+            return _EMPTY
+        stats.edges += len(edges)
+        return circuit.add_decision(x, edges)
 
     out = _EMPTY
     if all(tries[aid] for aid in range(len(atoms)) if atoms[aid].positive):
         # a negated atom over an empty relation holds everywhere
         kept = tuple(aid for aid in range(len(atoms)) if atoms[aid].positive or tries[aid])
         # one loop drives the calls, so depth never meets Python's recursion limit
-        stack = [(None, product(kept, len(order), {}))]
+        stack = [(None, product(kept, len(order)))]
         cache: dict[tuple, int] = {}
+        ids: dict[int, int] = {}
+        table: dict[frozenset, int] = {}
         out = None  # what the next send passes to the generator on top
         while stack:
             key, gen = stack[-1]
             try:
-                call, tau = gen.send(out)
+                call = gen.send(out)
             except StopIteration as done:
                 stack.pop()
                 out = done.value
                 if key is not None:
                     cache[key] = out
                 continue
-            key = (call[0], tuple(tau.items()))
+            key = _call_key(call, nodes, ids, table)
             out = cache.get(key)
             if out is None:
                 stats.rec_calls += 1
-                stack.append((key, branch(call, tau)))
+                stack.append((key, branch(call)))
             else:
                 stats.cache_hits += 1
     circuit.set_output(circuit.bot() if out == _EMPTY else out)
 
     stats.gates = len(circuit.gates)
-    stats.edges = circuit_size(circuit)
     return circuit, stats
 
 
@@ -257,6 +299,12 @@ class BinCodec:
     source_domain: Domain
     bits: int
     variables: tuple[str, ...]
+    codes: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # each value's bits, computed once per codec
+        codes = {value: _bits(code, self.bits) for code, value in enumerate(self.source_domain.values)}
+        object.__setattr__(self, "codes", codes)
 
     def bit_name(self, var: str, i: int) -> str:
         return f"{var}^{i}"
@@ -268,8 +316,10 @@ class BinCodec:
         return tuple(self.bit_name(var, i) for i in range(self.bits, 0, -1))
 
     def encode_value(self, value: str) -> tuple[str, ...]:
-        code = self.source_domain.rank(value) - 1
-        return tuple(str((code >> i) & 1) for i in range(self.bits))
+        bits = self.codes.get(value)
+        if bits is None:
+            raise ValueError(f"value {value!r} outside the domain")
+        return bits
 
     def decode_value(self, bits_lsb: tuple[str, ...]) -> str:
         code = sum((1 << i) for i, b in enumerate(bits_lsb) if b == "1")
@@ -280,9 +330,13 @@ class BinCodec:
     def encode_assignment(self, tau: Mapping[str, str]) -> Assignment:
         out: dict[str, str] = {}
         for var, value in tau.items():
-            for name, bit in zip(self.bit_vars_lsb(var), self.encode_value(value)):
-                out[name] = bit
+            out.update(zip(self.bit_vars_lsb(var), self.encode_value(value)))
         return Assignment(out)
+
+
+def _bits(code: int, width: int) -> tuple[str, ...]:
+    """``width`` bits of ``code``, least significant first."""
+    return tuple(str((code >> i) & 1) for i in range(width))
 
 
 def bits_needed(domain_size: int) -> int:
@@ -314,10 +368,7 @@ def binarize(
     relations: dict[str, Relation] = {}
     for name, rel in db.relations.items():
         cols = tuple(f"c{j}" for j in range(len(rel.vars) * b))
-        rows = frozenset(
-            tuple(bit for value in row for bit in codec.encode_value(value))
-            for row in rel.rows
-        )
+        rows = frozenset(tuple(chain.from_iterable(map(codec.codes.__getitem__, row))) for row in rel.rows)
         relations[name] = Relation(cols, rows)
 
     bin_atoms = [
@@ -325,10 +376,7 @@ def binarize(
         for a in q.atoms
     ]
 
-    invalid = [
-        tuple(str((code >> i) & 1) for i in range(b))
-        for code in range(len(db.domain), 1 << b)
-    ]
+    invalid = [_bits(code, b) for code in range(len(db.domain), 1 << b)]
     if invalid:
         taken = set(relations)
         bit_cols = tuple(f"c{j}" for j in range(b))

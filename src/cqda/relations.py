@@ -45,7 +45,10 @@ class Domain:
 
     def rank(self, value: str) -> int:
         """Number of domain elements smaller or equal to ``value``."""
-        return self._pos[value]
+        try:
+            return self._pos[value]
+        except KeyError:
+            raise ValueError(f"value {value!r} outside the domain") from None
 
     def value_at(self, rank: int) -> str:
         if not 1 <= rank <= len(self.values):
@@ -177,11 +180,11 @@ class Database:
     relations: dict[str, Relation]
 
     def __post_init__(self):
+        known = self.domain._pos.keys()
         for name, rel in self.relations.items():
-            for row in rel.rows:
-                for value in row:
-                    if value not in self.domain:
-                        raise ValueError(f"value {value!r} in {name} outside the domain")
+            if not known >= set(itertools.chain.from_iterable(rel.rows)):
+                value = next(v for row in rel.rows for v in row if v not in known)
+                raise ValueError(f"value {value!r} in {name} outside the domain")
 
     @property
     def size(self) -> int:

@@ -48,6 +48,16 @@ def test_db_rejects_bad_documents():
         database_from_dict({"domain": ["a"], "relations": {"R": {"arity": 2, "tuples": [["a"]]}}})
 
 
+@pytest.mark.parametrize("value", ["z", 1, None, ["a"], {"a": "a"}])
+def test_db_names_a_value_outside_the_domain(value):
+    from cqda.errors import DatabaseFormatError
+
+    doc = {"domain": ["a", "b"], "relations": {"R": {"arity": 2, "tuples": [["a", "b"], ["b", value]]}}}
+    with pytest.raises(DatabaseFormatError, match="^relation R: value .* outside the domain$") as err:
+        database_from_dict(doc)
+    assert repr(value) in str(err.value)
+
+
 def test_count_command(files, capsys):
     db, query = files
     code, out, _ = run(capsys, "count", db, query, "--order", "x1,x2,x3,x4")

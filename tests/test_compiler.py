@@ -326,16 +326,123 @@ def test_every_call_has_bound_exactly_the_trie_levels_above_its_variable(inst, b
 
     from cqda import compiler
 
-    real = compiler._descend
-    walks = []
+    q, db, order = inst.query, inst.db, inst.order
+    if binarized:
+        db, q, order, _ = binarize(db, q, order)
+    layouts = [_trie_levels(a, db.relations[a.symbol], order) for a in q.atoms]
+    path_of = {}  # (atom id, id(node)) -> values on the way from the root to node
+    for aid, (root, _) in enumerate(layouts):
+        stack = [(root, ())]
+        while stack:
+            node, path = stack.pop()
+            path_of[aid, id(node)] = path
+            stack.extend((child, path + (d,)) for d, child in node.items())
+    real = compiler._call_key
+    calls = []
 
-    def checked(node, levels, tau, x):
-        above = levels[: levels.index(x)]
-        assert {v for v in levels if v in tau} == set(above)
-        walks.append(x)
-        return real(node, levels, tau, x)
+    def checked(call, nodes, ids, table):
+        comp, bound, x, on_x = call
+        tau = {}
+        for aid in comp:
+            levels = layouts[aid][1]
+            path = path_of[aid, id(nodes[aid])]
+            # the atom's node lies below exactly its bound variables, which are a prefix of its levels
+            assert set(levels[: len(path)]) == set(levels) & set(bound)
+            for var, d in zip(levels, path):
+                assert tau.setdefault(var, d) == d
+        for aid, _, _ in on_x:
+            levels = layouts[aid][1]
+            assert levels[len(path_of[aid, id(nodes[aid])])] == x
+        calls.append(call)
+        return real(call, nodes, ids, table)
 
-    with mock.patch.object(compiler, "_descend", checked):
-        _, _, _, circuit = _compiled(inst, binarized)
+    with mock.patch.object(compiler, "_call_key", checked):
+        circuit, _ = dpll_compile(q, db, order.reversed())
     if any(isinstance(g, DecisionGate) for g in circuit.gates):
-        assert walks
+        assert calls
+
+
+# --- cache keys by residual subtrie ----------------------------------------------
+
+def _by_identity(node, ids, table):
+    # one id per trie node: the granularity of keying a call by its bound values
+    return id(node)
+
+
+@given(instances(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_subtrie_keys_keep_the_answers_and_never_add_calls(inst, binarized):
+    from unittest import mock
+
+    from cqda import compiler
+    from cqda.circuit import semantics_bruteforce
+
+    q, db, order = inst.query, inst.db, inst.order
+    if binarized:
+        db, q, order, _ = binarize(db, q, order)
+    circuit, stats = dpll_compile(q, db, order.reversed())
+    with mock.patch.object(compiler, "_subtrie_id", _by_identity):
+        plain, plain_stats = dpll_compile(q, db, order.reversed())
+    expected = eval_bruteforce(q, db).rows
+    assert semantics_bruteforce(circuit).rows == expected
+    assert semantics_bruteforce(plain).rows == expected
+    assert stats.rec_calls <= plain_stats.rec_calls
+    assert validate_ordered(circuit, order)
+
+
+def test_star_with_negated_leaves_shares_equal_subtries():
+    from unittest import mock
+
+    from cqda import compiler
+
+    # x=a and x=b leave R1 and R2 the same rows, so the y1 and y2 calls repeat
+    db = Database(
+        Domain(("a", "b", "c", "d")),
+        {
+            "C": Relation.from_rows(("c0",), [("a",), ("b",)]),
+            "R1": Relation.from_rows(("c0", "c1"), [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]),
+            "R2": Relation.from_rows(("c0", "c1"), [("a", "c"), ("b", "c")]),
+            "N1": Relation.from_rows(("c0",), [("a",)]),
+            "N2": Relation.from_rows(("c0",), [("d",)]),
+        },
+    )
+    q = parse_query("Q(*) :- C(x), R1(x,y1), R2(x,y2), !N1(y1), !N2(y2).")
+    order = VarOrder(("x", "y1", "y2"))
+    circuit, _, stats = compile_binarized(q, db, order.reversed())
+    with mock.patch.object(compiler, "_subtrie_id", _by_identity):
+        plain, _, plain_stats = compile_binarized(q, db, order.reversed())
+    assert stats.cache_hits >= 1
+    assert plain_stats.cache_hits == 0
+    assert stats.rec_calls < plain_stats.rec_calls
+    assert count(circuit, preprocess(circuit)) == count(plain, preprocess(plain)) == 2
+
+
+# --- edge count ------------------------------------------------------------------
+
+@given(instances(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_edge_count_covers_the_reachable_circuit(inst, binarized):
+    q, db, order = inst.query, inst.db, inst.order
+    if binarized:
+        db, q, order, _ = binarize(db, q, order)
+    circuit, stats = dpll_compile(q, db, order.reversed())
+    assert stats.edges >= circuit_edges(circuit)
+    if len(circuit.reachable()) == len(circuit.gates):
+        assert stats.edges == circuit_edges(circuit)
+
+
+def test_edge_count_includes_gates_left_unreachable():
+    # at x=a the R component is built before the S/N component turns out empty
+    db = Database(
+        Domain(("a", "b")),
+        {
+            "R": Relation.from_rows(("c0", "c1"), [("a", "a"), ("b", "b")]),
+            "S": Relation.from_rows(("c0", "c1"), [("a", "a"), ("b", "a")]),
+            "N": Relation.from_rows(("c0", "c1"), [("a", "a")]),
+        },
+    )
+    q = parse_query("Q(*) :- R(x,y), S(x,z), !N(x,z).")
+    circuit, stats = dpll_compile(q, db, VarOrder(("x", "y", "z")).reversed())
+    assert len(circuit.reachable()) < len(circuit.gates)
+    assert stats.edges > circuit_edges(circuit)
+    assert count(circuit, preprocess(circuit)) == 1

@@ -117,6 +117,23 @@ def test_rank_of_needs_every_answer_variable(ex51, engine):
             handle.rank_of({"x1": "0"})
 
 
+@pytest.mark.parametrize("engine", ["binarized", "raw", "reduction"])
+def test_rank_of_rejects_a_value_outside_the_domain(ex51, engine):
+    from cqda.reduction import signed_da_via_reduction
+
+    q, db, order = ex51
+    empty = parse_query("Q(x1,x2,x3,x4) :- S(x1,x2,x3,x4), T(x1,x3), !R(x2,x4).")
+    for query in (q, empty):
+        if engine == "reduction":
+            handle = signed_da_via_reduction(query, db, order)
+        else:
+            handle = da_conjunctive(query, db, order, binarize=engine == "binarized")
+        # no answer has x3=0, so the search never compares x4 of the second tuple
+        for bad in ({"x1": "7", "x2": "0", "x3": "0", "x4": "0"}, {"x1": "0", "x2": "1", "x3": "0", "x4": "7"}):
+            with pytest.raises(ValueError, match="'7' outside the domain"):
+                handle.rank_of(bad)
+
+
 def test_answers_window_is_checked_before_yielding(ex51):
     from cqda.errors import OutOfRangeError
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from cqda.errors import OutOfRangeError
 from cqda.relations import (
     Assignment,
+    Database,
     Domain,
     Relation,
     VarOrder,
@@ -32,6 +33,17 @@ def test_domain_order_is_declaration_order():
     assert d.value_at(2) == "a"
     with pytest.raises(ValueError):
         Domain(("a", "a"))
+
+
+def test_domain_rank_names_a_value_outside_it():
+    with pytest.raises(ValueError, match="'d' outside the domain"):
+        D3.rank("d")
+
+
+def test_database_names_a_value_outside_the_domain():
+    with pytest.raises(ValueError, match="value 'd' in R outside the domain"):
+        Database(D3, {"S": rel(("c0",), [("a",)]), "R": rel(("c0", "c1"), [("a", "b"), ("c", "d")])})
+    assert Database(D3, {"R": rel(("c0", "c1"), [("a", "b"), ("c", "c")])}).size == 5
 
 
 def test_join_forced_compatibility():
