@@ -76,16 +76,27 @@ class Circuit:
         return self._bot
 
     def add_decision(self, var: str, edges: Iterable[tuple[str, int]]) -> int:
+        """Decision gate on ``var`` with ``(value, child id)`` edges in strictly increasing rank.
+
+        Edges are stored as given, never sorted: a repeated value, a
+        value out of rank order or outside the domain, and a child that
+        is not yet a gate each raise ``ValueError``.
+        """
         if var not in self.universe:
             raise ValueError(f"decision variable {var} outside the universe")
-        ranked = sorted(edges, key=lambda e: self.domain.rank(e[0]))
-        values = [v for v, _ in ranked]
-        if len(set(values)) != len(values):
-            raise ValueError("decision edge values must be distinct")
-        for _, child in ranked:
+        edges = tuple(edges)
+        rank = self.domain.rank
+        last = 0
+        for value, child in edges:
+            r = rank(value)
+            if r <= last:
+                if r == last:
+                    raise ValueError("decision edge values must be distinct")
+                raise ValueError("decision edges must come in increasing rank order")
             if not 0 <= child < len(self.gates):
                 raise ValueError("edge to unknown gate")
-        return self._add(DecisionGate(var, tuple(ranked)))
+            last = r
+        return self._add(DecisionGate(var, edges))
 
     def add_product(self, children: Iterable[int]) -> int:
         kids = tuple(children)

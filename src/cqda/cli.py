@@ -278,6 +278,8 @@ def cmd_rank(args) -> int:
     if set(doc) != answer_vars:
         raise CqdaError(f"--tuple must bind exactly {sorted(answer_vars)}")
     for value in doc.values():
+        if not isinstance(value, str):
+            raise CqdaError(f"--tuple value {value!r} is not a string")
         if value not in db.domain:
             raise CqdaError(f"--tuple value {value!r} outside the domain")
     engine = _build_engine(args, q, db, order)

@@ -76,14 +76,32 @@ def _subtrie_id(node: dict, ids: dict[int, int], table: dict) -> int:
     Hash-consing bottom-up: a node whose children are leaves is named by
     its value set, any other node by its ``(value, child id)`` pairs, and
     ``table`` interns the names.  ``ids`` memoises by node identity.
+    Nodes are named in post-order, children in key order, from an
+    explicit stack, so a trie of any depth fits Python's recursion limit.
     """
     got = ids.get(id(node))
-    if got is None:
-        if next(iter(node.values()), None):
-            name = frozenset([(d, _subtrie_id(child, ids, table)) for d, child in node.items()])
+    if got is not None:
+        return got
+    if not next(iter(node.values()), None):
+        got = ids[id(node)] = table.setdefault(frozenset(node), len(table))
+        return got
+    # one frame per inner node on the path: (node, its unread items, pairs named so far, its key in the parent)
+    stack = [(node, iter(node.items()), [], None)]
+    while stack:
+        top, items, pairs, key = stack[-1]
+        for d, child in items:
+            got = ids.get(id(child))
+            if got is None:
+                if next(iter(child.values()), None):
+                    stack.append((child, iter(child.items()), [], d))
+                    break
+                got = ids[id(child)] = table.setdefault(frozenset(child), len(table))
+            pairs.append((d, got))
         else:
-            name = frozenset(node)
-        got = ids[id(node)] = table.setdefault(name, len(table))
+            got = ids[id(top)] = table.setdefault(frozenset(pairs), len(table))
+            stack.pop()
+            if stack:
+                stack[-1][2].append((key, got))
     return got
 
 
@@ -293,27 +311,25 @@ class BinCodec:
 
     Each variable ``x`` becomes ``bits`` fresh variables ``x^1 .. x^b``
     where ``x^i`` carries bit ``i - 1`` of the value's 0-based rank, so
-    ``x^1`` is the least significant bit.
+    ``x^1`` is the least significant bit.  The tables are built once per
+    codec: ``codes`` maps each value to its bits, ``values`` maps bits
+    back, and ``bit_names`` gives each variable's bit variables, least
+    significant first.
     """
 
     source_domain: Domain
     bits: int
     variables: tuple[str, ...]
     codes: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
+    values: dict[tuple[str, ...], str] = field(init=False, compare=False, repr=False)
+    bit_names: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # each value's bits, computed once per codec
         codes = {value: _bits(code, self.bits) for code, value in enumerate(self.source_domain.values)}
         object.__setattr__(self, "codes", codes)
-
-    def bit_name(self, var: str, i: int) -> str:
-        return f"{var}^{i}"
-
-    def bit_vars_lsb(self, var: str) -> tuple[str, ...]:
-        return tuple(self.bit_name(var, i) for i in range(1, self.bits + 1))
-
-    def bit_vars_msb(self, var: str) -> tuple[str, ...]:
-        return tuple(self.bit_name(var, i) for i in range(self.bits, 0, -1))
+        object.__setattr__(self, "values", {bits: value for value, bits in codes.items()})
+        names = {var: tuple(f"{var}^{i}" for i in range(1, self.bits + 1)) for var in self.variables}
+        object.__setattr__(self, "bit_names", names)
 
     def encode_value(self, value: str) -> tuple[str, ...]:
         bits = self.codes.get(value)
@@ -322,15 +338,20 @@ class BinCodec:
         return bits
 
     def decode_value(self, bits_lsb: tuple[str, ...]) -> str:
-        code = sum((1 << i) for i, b in enumerate(bits_lsb) if b == "1")
-        if code >= len(self.source_domain):
-            raise RankOutOfDomainError(f"bit pattern denotes rank {code + 1}, domain has {len(self.source_domain)}")
-        return self.source_domain.value_at(code + 1)
+        value = self.values.get(tuple(bits_lsb))
+        if value is None:
+            raise RankOutOfDomainError(
+                f"bit pattern {''.join(reversed(bits_lsb))} is no value of a {len(self.source_domain)}-value domain"
+            )
+        return value
 
     def encode_assignment(self, tau: Mapping[str, str]) -> Assignment:
         out: dict[str, str] = {}
         for var, value in tau.items():
-            out.update(zip(self.bit_vars_lsb(var), self.encode_value(value)))
+            names = self.bit_names.get(var)
+            if names is None:
+                raise ValueError(f"variable {var!r} is not encoded by this codec")
+            out.update(zip(names, self.encode_value(value)))
         return Assignment(out)
 
 
@@ -362,8 +383,11 @@ def binarize(
     at all) would otherwise admit phantom answers.  Such an edge groups
     exactly one variable's bits, so signed widths are unaffected.
     """
+    if not q.variables <= set(order.vars):
+        raise ValueError("order must cover every query variable")
     codec = BinCodec(db.domain, bits_needed(len(db.domain)), tuple(order.vars))
     b = codec.bits
+    names = codec.bit_names
 
     relations: dict[str, Relation] = {}
     for name, rel in db.relations.items():
@@ -372,7 +396,7 @@ def binarize(
         relations[name] = Relation(cols, rows)
 
     bin_atoms = [
-        Atom(a.positive, a.symbol, tuple(bit for v in a.args for bit in codec.bit_vars_lsb(v)))
+        Atom(a.positive, a.symbol, tuple(bit for v in a.args for bit in names[v]))
         for a in q.atoms
     ]
 
@@ -386,27 +410,27 @@ def binarize(
                 symbol = "_" + symbol
             taken.add(symbol)
             relations[symbol] = Relation(bit_cols, frozenset(invalid))
-            bin_atoms.append(Atom(False, symbol, codec.bit_vars_lsb(var)))
+            bin_atoms.append(Atom(False, symbol, names[var]))
 
     bin_db = Database(BIN_DOMAIN, relations)
-    bin_free = None if q.free is None else frozenset(bit for v in q.free for bit in codec.bit_vars_lsb(v))
+    bin_free = None if q.free is None else frozenset(bit for v in q.free for bit in names[v])
     bin_q = SignedQuery(tuple(bin_atoms), bin_free)
 
-    bin_order = VarOrder(tuple(bit for v in order.vars for bit in codec.bit_vars_msb(v)))
+    bin_order = VarOrder(tuple(bit for v in order.vars for bit in reversed(names[v])))
     return bin_db, bin_q, bin_order, codec
 
 
 def debin_tuple(t: Mapping[str, str], codec: BinCodec) -> Assignment:
     """Collapse a tuple over bit variables back onto the source domain."""
     out: dict[str, str] = {}
-    for var in codec.variables:
-        names = codec.bit_vars_lsb(var)
-        present = [n for n in names if n in t]
-        if not present:
+    for var, names in codec.bit_names.items():
+        try:
+            bits = tuple([t[n] for n in names])
+        except KeyError:
+            if any(n in t for n in names):
+                raise ValueError(f"tuple covers only some bits of {var}") from None
             continue
-        if len(present) != len(names):
-            raise ValueError(f"tuple covers only some bits of {var}")
-        out[var] = codec.decode_value(tuple(t[n] for n in names))
+        out[var] = codec.decode_value(bits)
     return Assignment(out)
 
 

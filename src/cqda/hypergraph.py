@@ -8,6 +8,14 @@ Vertex elimination ``H/v`` removes ``v`` from every edge and adds the
 open neighbourhood of ``v`` as a fresh edge.  The width of an order is
 the worst cover number, over all elimination steps, of the removed
 vertex's neighbourhood, covered with the hypergraph's original edges.
+
+There is one width core.  Vertices are the bits of a sorted vertex
+tuple, and a ``_FamilyTable`` holds one edge family's elimination steps
+and cover numbers as bitmasks.  Every cover number, width and optimal
+order is read from such tables.  ``best_order`` shares them across
+calls through a module-wide memo; ``width_of_order`` builds its own for
+each call.  The set-based definition is kept in the tests, as the
+reference this core is checked against.
 """
 
 from __future__ import annotations
@@ -47,14 +55,6 @@ class Hypergraph:
     def of(cls, vertices: Iterable[str], edges: Iterable[Iterable[str]]) -> Hypergraph:
         return cls(frozenset(vertices), tuple(frozenset(e) for e in edges))
 
-    def neighbourhood(self, v: str) -> frozenset[str]:
-        """Union of the edges containing ``v`` (``v`` included when covered)."""
-        out: set[str] = set()
-        for e in self.edges:
-            if v in e:
-                out |= e
-        return frozenset(out)
-
 
 @dataclass(frozen=True)
 class SignedHypergraph:
@@ -77,64 +77,6 @@ class SignedHypergraph:
 
     def unsigned(self) -> Hypergraph:
         return Hypergraph(self.vertices, self.pos_edges + self.neg_edges)
-
-
-def remove_vertex(h: Hypergraph, v: str) -> Hypergraph:
-    """``H/v``: drop ``v`` everywhere, add its open neighbourhood as an edge."""
-    if v not in h.vertices:
-        raise VertexNotFoundError(f"vertex {v} not in hypergraph")
-    open_nb = h.neighbourhood(v) - {v}
-    edges = [e - {v} for e in h.edges if e - {v}]
-    edges.append(open_nb)
-    # drop duplicates and the empty open neighbourhood of an isolated vertex
-    seen: list[frozenset[str]] = []
-    for e in edges:
-        if e and e not in seen:
-            seen.append(e)
-    return Hypergraph(h.vertices - {v}, tuple(seen))
-
-
-# --- cover numbers ----------------------------------------------------------
-
-def _dedupe(edges: Sequence[frozenset[str]]) -> list[frozenset[str]]:
-    out: list[frozenset[str]] = []
-    for e in edges:
-        if e not in out:
-            out.append(e)
-    return out
-
-
-def cover_number(s: Iterable[str], edges: Sequence[frozenset[str]], budget: Budget = DEFAULT_BUDGET) -> int:
-    """Minimum number of edges whose union contains ``s`` (exact)."""
-    need = frozenset(s)
-    if not need:
-        return 0
-    family = [e & need for e in _dedupe(edges)]
-    family = [e for e in family if e]
-    covered = frozenset().union(*family) if family else frozenset()
-    if not need <= covered:
-        raise UncoverableError(f"{sorted(need - covered)} not covered by any edge")
-    # branch on an uncovered element; every cover uses some edge containing it
-    best = len(family)
-    states = 0
-
-    def search(uncovered: frozenset[str], used: int) -> None:
-        nonlocal best, states
-        states += 1
-        if states > budget.max_states:
-            raise BudgetExceededError("cover search exceeded the state budget")
-        if used >= best:
-            return
-        if not uncovered:
-            best = used
-            return
-        pivot = min(uncovered)
-        for e in family:
-            if pivot in e:
-                search(uncovered - e, used + 1)
-
-    search(need, 0)
-    return best
 
 
 def _simplex_max(constraints: list[list[Fraction]], rhs: list[Fraction], objective: list[Fraction]) -> Fraction:
@@ -175,111 +117,12 @@ def _simplex_max(constraints: list[list[Fraction]], rhs: list[Fraction], objecti
         basis[row] = col
 
 
-def fractional_cover_number(
-    s: Iterable[str], edges: Sequence[frozenset[str]], budget: Budget = DEFAULT_BUDGET
-) -> Fraction:
-    """Exact optimum of the fractional covering program for ``s``.
-
-    Solved through the packing dual (one variable per covered vertex,
-    one constraint per edge), whose slack basis is immediately feasible;
-    strong duality gives the covering optimum.
-    """
-    need = sorted(frozenset(s))
-    if not need:
-        return Fraction(0)
-    family = [e & frozenset(need) for e in _dedupe(edges)]
-    family = [e for e in family if e]
-    covered = frozenset().union(*family) if family else frozenset()
-    if not frozenset(need) <= covered:
-        raise UncoverableError(f"{sorted(frozenset(need) - covered)} not covered by any edge")
-    index = {v: i for i, v in enumerate(need)}
-    rows = [[Fraction(int(need[j] in e)) for j in range(len(need))] for e in family]
-    rhs = [Fraction(1)] * len(family)
-    objective = [Fraction(1)] * len(need)
-    return _simplex_max(rows, rhs, objective)
-
-
-# --- widths of elimination orders -------------------------------------------
-
-def _step_sets(h: Hypergraph, order: Sequence[str]) -> Iterable[frozenset[str]]:
-    """Neighbourhood of each removed vertex at its removal, in order."""
-    current = h
-    for v in order:
-        yield current.neighbourhood(v)
-        current = remove_vertex(current, v)
-
-
-def how_width(h: Hypergraph, order: EliminationOrder, budget: Budget = DEFAULT_BUDGET) -> int:
-    """Worst integer cover number along the elimination, against the original edges."""
-    width = 0
-    for nb in _step_sets(h, list(order)):
-        width = max(width, cover_number(nb, h.edges, budget))
-    return width
-
-
-def fhow_width(h: Hypergraph, order: EliminationOrder, budget: Budget = DEFAULT_BUDGET) -> Fraction:
-    width = Fraction(0)
-    for nb in _step_sets(h, list(order)):
-        width = max(width, fractional_cover_number(nb, h.edges, budget))
-    return width
-
-
-def negative_subhypergraphs(h: SignedHypergraph, budget: Budget = DEFAULT_BUDGET) -> Iterable[Hypergraph]:
-    """All hypergraphs keeping every positive edge and a subset of negative ones."""
-    if 2 ** len(h.neg_edges) > budget.max_states:
-        raise BudgetExceededError(f"2^{len(h.neg_edges)} negative subhypergraphs exceed the budget")
-    for r in range(len(h.neg_edges) + 1):
-        for chosen in itertools.combinations(h.neg_edges, r):
-            yield Hypergraph(h.vertices, h.pos_edges + chosen)
-
-
-def show_width(h: SignedHypergraph, order: EliminationOrder, budget: Budget = DEFAULT_BUDGET) -> int:
-    """Worst ``how`` width over every choice of kept negative edges."""
-    return max(how_width(sub, order, budget) for sub in negative_subhypergraphs(h, budget))
-
-
-def sfhow_width(h: SignedHypergraph, order: EliminationOrder, budget: Budget = DEFAULT_BUDGET) -> Fraction:
-    return max(fhow_width(sub, order, budget) for sub in negative_subhypergraphs(h, budget))
-
-
-def _graphs_for(h: Hypergraph | SignedHypergraph, kind: str, budget: Budget) -> list[Hypergraph]:
-    """The family of hypergraphs a width measure maximises over."""
-    if kind in ("show", "sfhow"):
-        signed = h if isinstance(h, SignedHypergraph) else SignedHypergraph(h.vertices, h.edges, ())
-        return list(negative_subhypergraphs(signed, budget))
-    plain = h.unsigned() if isinstance(h, SignedHypergraph) else h
-    if kind in ("bhow", "bfhow"):
-        return list(_all_subhypergraphs(plain, budget))
-    if kind in ("how", "fhow"):
-        return [plain]
-    raise ValueError(f"unknown width measure {kind!r}")
-
-
-def _all_subhypergraphs(h: Hypergraph, budget: Budget) -> Iterable[Hypergraph]:
-    if 2 ** len(h.edges) > budget.max_states:
-        raise BudgetExceededError(f"2^{len(h.edges)} subhypergraphs exceed the budget")
-    for r in range(len(h.edges) + 1):
-        for chosen in itertools.combinations(h.edges, r):
-            yield Hypergraph(h.vertices, chosen)
-
-
-def bhow_width(h: Hypergraph, order: EliminationOrder, budget: Budget = DEFAULT_BUDGET) -> int:
-    """Worst ``how`` width over all edge subsets (hereditary width of the order)."""
-    return max(how_width(sub, order, budget) for sub in _all_subhypergraphs(h, budget))
-
-
-def bfhow_width(h: Hypergraph, order: EliminationOrder, budget: Budget = DEFAULT_BUDGET) -> Fraction:
-    return max(fhow_width(sub, order, budget) for sub in _all_subhypergraphs(h, budget))
-
-
-# --- optimal orders ---------------------------------------------------------
+# --- the bitmask core -------------------------------------------------------
 #
-# Order search works on bitmask views of a fixed vertex tuple.  Removing
-# a vertex set yields the same hypergraph whatever the removal order, so
-# elimination state can be keyed by the removed set alone; the DP below
-# relies on that and is cross-checked against permutation enumeration in
-# the tests.  Per-edge-family tables are memoised globally because width
-# searches over subhypergraph families revisit the same families heavily.
+# Removing a vertex set yields the same neighbourhoods whatever the
+# removal order, so elimination state is keyed by the removed set alone;
+# the order DP below relies on that, and the tests check it against the
+# set-based walk over every permutation.
 
 
 class _FamilyTable:
@@ -325,6 +168,19 @@ class _FamilyTable:
                 nb |= e
         return nb
 
+    def _covering(self, need: int) -> list[int]:
+        """The edges' nonempty parts inside ``need``; raises unless they cover it."""
+        family = []
+        covered = 0
+        for e in self.edges:
+            r = e & need
+            if r:
+                family.append(r)
+                covered |= r
+        if covered & need != need:
+            raise UncoverableError("vertex set not covered by any edge")
+        return family
+
     def cn(self, need: int) -> int:
         got = self._cn.get(need)
         if got is None:
@@ -335,15 +191,7 @@ class _FamilyTable:
     def _cn_search(self, need: int) -> int:
         if need == 0:
             return 0
-        family = []
-        covered = 0
-        for e in self.edges:
-            r = e & need
-            if r and r not in family:
-                family.append(r)
-                covered |= r
-        if covered & need != need:
-            raise UncoverableError("vertex set not covered by any edge")
+        family = list(dict.fromkeys(self._covering(need)))
         best = len(family)
         states = 0
 
@@ -366,15 +214,16 @@ class _FamilyTable:
         return best
 
     def fcn(self, need: int) -> Fraction:
+        """Exact optimum of the fractional covering program for ``need``.
+
+        Solved through the packing dual (one variable per vertex of
+        ``need``, one constraint per edge), whose slack basis is
+        immediately feasible; strong duality gives the covering optimum.
+        """
         got = self._fcn.get(need)
         if got is None:
+            family = self._covering(need)
             members = [i for i in range(self.n) if need >> i & 1]
-            family = [e & need for e in self.edges if e & need]
-            covered = 0
-            for e in family:
-                covered |= e
-            if covered & need != need:
-                raise UncoverableError("vertex set not covered by any edge")
             if not members:
                 got = Fraction(0)
             else:
@@ -392,6 +241,7 @@ _FAMILY_TABLES: dict[tuple, _FamilyTable] = {}
 
 
 def _family_table(n: int, edges: tuple[int, ...], budget: Budget) -> _FamilyTable:
+    """The memoised table of one family; order searches revisit families heavily."""
     key = (n, edges, budget.max_states)
     got = _FAMILY_TABLES.get(key)
     if got is None:
@@ -402,22 +252,78 @@ def _family_table(n: int, edges: tuple[int, ...], budget: Budget) -> _FamilyTabl
     return got
 
 
-class _OrderCost:
-    """Step cost ``(removed_set, next_vertex) -> cover number`` for one width kind."""
+def _mask(index: dict[str, int], vs: Iterable[str]) -> int:
+    m = 0
+    for v in vs:
+        m |= 1 << index[v]
+    return m
 
-    def __init__(self, vertices: Sequence[str], graphs: Sequence[Hypergraph], fractional: bool, budget: Budget):
-        self.vertices = tuple(vertices)
+
+def _cover_table(s: Iterable[str], edges: Sequence[Iterable[str]], budget: Budget) -> tuple[_FamilyTable, int]:
+    need = frozenset(s)
+    edges = [frozenset(e) for e in edges]
+    index = {v: i for i, v in enumerate(sorted(need.union(*edges)))}
+    return _FamilyTable(len(index), tuple(_mask(index, e) for e in edges), budget), _mask(index, need)
+
+
+def cover_number(s: Iterable[str], edges: Sequence[frozenset[str]], budget: Budget = DEFAULT_BUDGET) -> int:
+    """Minimum number of edges whose union contains ``s`` (exact)."""
+    table, need = _cover_table(s, edges, budget)
+    return table.cn(need)
+
+
+def fractional_cover_number(
+    s: Iterable[str], edges: Sequence[frozenset[str]], budget: Budget = DEFAULT_BUDGET
+) -> Fraction:
+    """Exact optimum of the fractional covering program for ``s``."""
+    table, need = _cover_table(s, edges, budget)
+    return table.fcn(need)
+
+
+# --- widths of elimination orders -------------------------------------------
+
+_KIND_FRACTIONAL = {"how": False, "fhow": True, "show": False, "sfhow": True, "bhow": False, "bfhow": True}
+
+
+def _subsets(edges: tuple[frozenset[str], ...], budget: Budget, what: str) -> Iterable[tuple[frozenset[str], ...]]:
+    if 2 ** len(edges) > budget.max_states:
+        raise BudgetExceededError(f"2^{len(edges)} {what} exceed the budget")
+    for r in range(len(edges) + 1):
+        yield from itertools.combinations(edges, r)
+
+
+def _families(h: Hypergraph | SignedHypergraph, kind: str, budget: Budget) -> Iterable[tuple[frozenset[str], ...]]:
+    """The edge families a width measure maximises over.
+
+    ``show``/``sfhow``: every positive edge plus any subset of the
+    negative ones; ``bhow``/``bfhow``: every edge subset; ``how``/``fhow``:
+    the edges themselves.
+    """
+    if kind in ("show", "sfhow"):
+        pos, neg = (h.pos_edges, h.neg_edges) if isinstance(h, SignedHypergraph) else (h.edges, ())
+        return (pos + chosen for chosen in _subsets(neg, budget, "negative subhypergraphs"))
+    plain = h.unsigned() if isinstance(h, SignedHypergraph) else h
+    if kind in ("bhow", "bfhow"):
+        return _subsets(plain.edges, budget, "subhypergraphs")
+    if kind in ("how", "fhow"):
+        return [plain.edges]
+    raise ValueError(f"unknown width measure {kind!r}")
+
+
+class _OrderCost:
+    """Step cost ``(removed_set, next_vertex) -> cover number`` for one width kind.
+
+    The cost is the worst over the measure's family tables; ``table``
+    makes each one, memoised or fresh.
+    """
+
+    def __init__(self, h: Hypergraph | SignedHypergraph, kind: str, budget: Budget, table):
+        families = _families(h, kind, budget)
+        self.vertices = tuple(sorted(h.vertices))
+        self.fractional = _KIND_FRACTIONAL[kind]
         index = {v: i for i, v in enumerate(self.vertices)}
-        self.fractional = fractional
-        self.tables = []
-        for g in graphs:
-            masks = []
-            for e in g.edges:
-                m = 0
-                for v in e:
-                    m |= 1 << index[v]
-                masks.append(m)
-            self.tables.append(_family_table(len(self.vertices), tuple(sorted(set(masks))), budget))
+        masks = dict.fromkeys(tuple(sorted({_mask(index, e) for e in fam})) for fam in families)
+        self.tables = [table(len(self.vertices), edges, budget) for edges in masks]
 
     def key(self) -> tuple:
         return (self.vertices, self.fractional, tuple(sorted(t.edges for t in self.tables)))
@@ -431,27 +337,60 @@ class _OrderCost:
         return worst
 
 
-_BEST_ORDER_MEMO: dict[tuple, tuple] = {}
-
-
-_KIND_FRACTIONAL = {"how": False, "fhow": True, "show": False, "sfhow": True, "bhow": False, "bfhow": True}
-
-
 def width_of_order(h: Hypergraph | SignedHypergraph, kind: str, order: EliminationOrder, budget: Budget = DEFAULT_BUDGET):
     """Width of one elimination order under any of the six measures.
 
-    Computed directly from the definition: a sequential elimination walk
-    per member of the measure's hypergraph family.
+    One walk along the order; each step costs the worst cover number of
+    the removed vertex's neighbourhood over the measure's edge family.
+    Vertices of ``h`` missing from ``order`` are never removed; a vertex
+    outside ``h``, or repeated, raises ``VertexNotFoundError``.
     """
-    fractional = _KIND_FRACTIONAL[kind]
-    measure = fhow_width if fractional else how_width
-    graphs = _graphs_for(h, kind, budget)
-    seq = VarOrder(tuple(v for v in order if v in (graphs[0].vertices if graphs else frozenset())))
-    width = Fraction(0) if fractional else 0
-    for g in graphs:
-        width = max(width, measure(g, seq, budget))
+    # Tables are built for this call alone.  Sharing best_order's
+    # _FAMILY_TABLES memo here is a later perf change: it waits for the
+    # ROADMAP benchmark item, which times each request kind on its own.
+    model = _OrderCost(h, kind, budget, _FamilyTable)
+    index = {v: i for i, v in enumerate(model.vertices)}
+    width = Fraction(0) if model.fractional else 0
+    removed = 0
+    for v in order:
+        vbit = 1 << index[v] if v in index else 0
+        if not vbit or removed & vbit:
+            raise VertexNotFoundError(f"vertex {v} not in hypergraph")
+        width = max(width, model.cost(removed, vbit))
+        removed |= vbit
     return width
 
+
+def how_width(h: Hypergraph, order: EliminationOrder, budget: Budget = DEFAULT_BUDGET) -> int:
+    """Worst integer cover number along the elimination, against the original edges."""
+    return width_of_order(h, "how", order, budget)
+
+
+def fhow_width(h: Hypergraph, order: EliminationOrder, budget: Budget = DEFAULT_BUDGET) -> Fraction:
+    return width_of_order(h, "fhow", order, budget)
+
+
+def show_width(h: SignedHypergraph, order: EliminationOrder, budget: Budget = DEFAULT_BUDGET) -> int:
+    """Worst ``how`` width over every choice of kept negative edges."""
+    return width_of_order(h, "show", order, budget)
+
+
+def sfhow_width(h: SignedHypergraph, order: EliminationOrder, budget: Budget = DEFAULT_BUDGET) -> Fraction:
+    return width_of_order(h, "sfhow", order, budget)
+
+
+def bhow_width(h: Hypergraph, order: EliminationOrder, budget: Budget = DEFAULT_BUDGET) -> int:
+    """Worst ``how`` width over all edge subsets (hereditary width of the order)."""
+    return width_of_order(h, "bhow", order, budget)
+
+
+def bfhow_width(h: Hypergraph, order: EliminationOrder, budget: Budget = DEFAULT_BUDGET) -> Fraction:
+    return width_of_order(h, "bfhow", order, budget)
+
+
+# --- optimal orders ---------------------------------------------------------
+
+_BEST_ORDER_MEMO: dict[tuple, tuple] = {}
 
 EXACT_SEARCH_MAX_VERTICES = 9
 
@@ -467,14 +406,12 @@ def best_order(
     greedy order whose width is still reported faithfully, flagged as an
     upper bound.
     """
-    graphs = _graphs_for(h, kind, budget)
-    verts = tuple(sorted(h.vertices))
-    model = _OrderCost(verts, graphs, _KIND_FRACTIONAL[kind], budget)
-    zero = Fraction(0) if _KIND_FRACTIONAL[kind] else 0
+    model = _OrderCost(h, kind, budget, _family_table)
+    verts = model.vertices
+    zero = Fraction(0) if model.fractional else 0
     n = len(verts)
     if n == 0:
         return VarOrder(()), zero, True
-
     if n <= EXACT_SEARCH_MAX_VERTICES:
         memo_key = model.key()
         hit = _BEST_ORDER_MEMO.get(memo_key)
@@ -522,8 +459,8 @@ def bhtw_bruteforce(h: Hypergraph, budget: Budget = DEFAULT_BUDGET) -> int:
     if len(h.vertices) > 8 or len(h.edges) > 6:
         raise BudgetExceededError("bhtw search is limited to 8 vertices and 6 edges")
     worst = 0
-    for sub in _all_subhypergraphs(h, budget):
-        _, width, exact = best_order(sub, "how", budget)
+    for edges in _subsets(h.edges, budget, "subhypergraphs"):
+        _, width, exact = best_order(Hypergraph(h.vertices, edges), "how", budget)
         assert exact
         worst = max(worst, width)
     return worst
@@ -591,13 +528,7 @@ def nsw_bruteforce(
     if n == 0:
         return 0
     index = {v: i for i, v in enumerate(verts)}
-    edge_masks = []
-    for e in h.edges:
-        m = 0
-        for v in e:
-            m |= 1 << index[v]
-        if m and m not in edge_masks:
-            edge_masks.append(m)
+    edge_masks = [m for m in dict.fromkeys(_mask(index, e) for e in h.edges) if m]
     cap = n if k_max is None else min(k_max, n)
     states = 0
 

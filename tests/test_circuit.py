@@ -83,6 +83,23 @@ def test_circuit_size():
     assert circuit_size(c) == 3
 
 
+def test_add_decision_checks_edges_without_sorting():
+    c = Circuit(Domain(("0", "1", "2")), VarOrder(("x",)))
+    top = c.top()
+    g = c.add_decision("x", [("0", top), ("2", top)])
+    assert c.gates[g].edges == (("0", top), ("2", top))
+    with pytest.raises(ValueError, match="increasing rank"):
+        c.add_decision("x", [("2", top), ("0", top)])
+    with pytest.raises(ValueError, match="distinct"):
+        c.add_decision("x", [("1", top), ("1", top)])
+    with pytest.raises(ValueError, match="unknown gate"):
+        c.add_decision("x", [("0", top), ("1", 99)])
+    with pytest.raises(ValueError, match="outside the domain"):
+        c.add_decision("x", [("7", top)])
+    with pytest.raises(ValueError, match="outside the universe"):
+        c.add_decision("y", [("0", top)])
+
+
 def test_cycle_detection():
     c = Circuit(Domain(("0", "1")), VarOrder(("x", "y")))
     g = c.add_decision("x", [("0", c.top())])

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqda.cli import database_from_dict, database_to_dict, main
 from cqda.query import eval_bruteforce, parse_query
@@ -232,3 +233,95 @@ def test_non_numeric_budget_is_a_usage_error(files, capsys, monkeypatch):
     code, out, err = run(capsys, "width", query, "--measure", "show")
     assert code == 1 and out == ""
     assert "CQDA_BUDGET" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", [["0"], 0, None, {"a": "0"}])
+def test_rank_rejects_a_non_string_tuple_value(files, capsys, value):
+    db, query = files
+    t = json.dumps({"x1": value, "x2": "0", "x3": "0", "x4": "0"})
+    code, out, err = run(capsys, "rank", db, query, "--tuple", t)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+_TEXT = st.text(alphabet="x01234,{} ", max_size=6)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 5), st.sampled_from(["0", "1", "2"]), _TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_TEXT, inner, max_size=3)),
+    max_leaves=8,
+)
+_CELL = st.one_of(st.sampled_from(["0", "1"]), _JSON)
+_RELATION = st.fixed_dictionaries({
+    "arity": st.one_of(st.sampled_from([2, 4]), _JSON),
+    "tuples": st.lists(st.lists(_CELL, min_size=1, max_size=4), max_size=4),
+})
+_VALID_DB = st.fixed_dictionaries({
+    "domain": st.just(["0", "1"]),
+    "relations": st.fixed_dictionaries({
+        name: st.fixed_dictionaries({
+            "arity": st.just(arity),
+            "tuples": st.lists(st.lists(st.sampled_from(["0", "1"]), min_size=arity, max_size=arity), max_size=6),
+        })
+        for name, arity in (("S", 4), ("R", 2), ("T", 2))
+    }),
+})
+_DB_DOC = st.one_of(
+    _VALID_DB,
+    _VALID_DB,
+    _JSON,
+    st.fixed_dictionaries({
+        "domain": st.one_of(st.just(["0", "1"]), st.lists(_TEXT, max_size=3), _JSON),
+        "relations": st.one_of(st.dictionaries(st.sampled_from("RST"), _RELATION, max_size=3), _JSON),
+    }),
+)
+_ORDER = st.one_of(st.sampled_from(["x1,x2,x3,x4", "x4,x3,x2,x1", "x1,x2", "x1,x1", ""]), _TEXT)
+_INT = st.one_of(st.integers(-2, 10).map(str), _TEXT)
+_TUPLE = st.one_of(st.dictionaries(st.sampled_from(["x1", "x2", "x3", "x4", "y"]), _CELL, max_size=5), _JSON)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["count", "access", "rank", "enumerate", "project", "width", "compile"]))
+    extra = []
+    if draw(st.booleans()):
+        extra += ["--order", draw(_ORDER)]
+    if command == "width":
+        if draw(st.booleans()):
+            extra += ["--measure", draw(st.sampled_from(["how", "fhow", "show", "sfhow", "bhow", "bfhow", "nsw", "x"]))]
+        return command, extra
+    if command in ("count", "access", "rank", "enumerate"):
+        if draw(st.booleans()):
+            extra += ["--engine", draw(st.sampled_from(["circuit", "reduction", "x"]))]
+    if command != "project" and draw(st.booleans()):
+        extra.append("--no-binarize")
+    if command == "access" or (command == "project" and draw(st.booleans())):
+        extra += ["--k", draw(_INT)]
+    if command == "rank":
+        extra += ["--tuple", json.dumps(draw(_TUPLE))]
+    if command == "enumerate":
+        extra += ["--from", draw(_INT), "--limit", draw(_INT)]
+    if command == "project":
+        extra += ["--free", draw(st.one_of(st.sampled_from(["x1,x2", "x1", "y", ""]), _TEXT))]
+    return command, extra
+
+
+@given(_DB_DOC, _argvs())
+@settings(max_examples=150, deadline=None)
+def test_cli_never_raises_on_generated_input(doc, argv):
+    import contextlib
+    import io
+    import os
+    import tempfile
+
+    command, extra = argv
+    with tempfile.TemporaryDirectory() as tmp:
+        db, query = os.path.join(tmp, "db.json"), os.path.join(tmp, "q.cq")
+        with open(db, "w") as fh:
+            json.dump(doc, fh)
+        with open(query, "w") as fh:
+            fh.write(EX51_QUERY)
+        paths = [query, "--db", db] if command == "width" else [db, query]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, *paths, *extra])
+    assert code in (0, 1, 2, 3)
+    assert code == 0 or err.getvalue().count("error:") == 1

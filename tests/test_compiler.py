@@ -139,6 +139,22 @@ def test_debin_examples():
     for value in dom.values:
         bits = codec.encode_value(value)
         assert codec.decode_value(bits) == value
+    with pytest.raises(ValueError, match="only some bits"):
+        debin_tuple({"x^1": "0"}, codec)
+    assert debin_tuple({"y^1": "0"}, codec) == Assignment({})
+
+
+def test_codec_tables():
+    codec = BinCodec(Domain(("a", "b", "c")), 2, ("x", "y"))
+    assert codec.bit_names == {"x": ("x^1", "x^2"), "y": ("y^1", "y^2")}
+    assert codec.values == {("0", "0"): "a", ("1", "0"): "b", ("0", "1"): "c"}
+    assert codec.encode_assignment({"x": "b", "y": "c"}) == Assignment(
+        {"x^1": "1", "x^2": "0", "y^1": "0", "y^2": "1"}
+    )
+    with pytest.raises(ValueError, match="not encoded"):
+        codec.encode_assignment({"z": "a"})
+    with pytest.raises(RankOutOfDomainError):
+        codec.decode_value(("1", "1"))
 
 
 def test_compile_binarized_inequality_count():
@@ -415,6 +431,44 @@ def test_star_with_negated_leaves_shares_equal_subtries():
     assert plain_stats.cache_hits == 0
     assert stats.rec_calls < plain_stats.rec_calls
     assert count(circuit, preprocess(circuit)) == count(plain, preprocess(plain)) == 2
+
+
+def _subtrie_id_recursive(node, ids, table):
+    # the recursive naming the compiler's stack walk must reproduce, id for id
+    got = ids.get(id(node))
+    if got is None:
+        if next(iter(node.values()), None):
+            name = frozenset([(d, _subtrie_id_recursive(child, ids, table)) for d, child in node.items()])
+        else:
+            name = frozenset(node)
+        got = ids[id(node)] = table.setdefault(name, len(table))
+    return got
+
+
+@given(st.lists(st.lists(st.tuples(*[st.sampled_from("abc")] * 3), max_size=8), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_subtrie_ids_match_recursive_naming(relations):
+    from cqda.compiler import _subtrie_id
+
+    # several tries share one intern table, as the atoms of one compile do
+    tries = [Relation.from_rows(("c0", "c1", "c2"), rows).trie((2, 0, 1)) for rows in relations]
+    got_ids, got_table, ref_ids, ref_table = {}, {}, {}, {}
+    for trie in tries:
+        for node in (trie, next(iter(trie.values()), trie)):
+            assert _subtrie_id(node, got_ids, got_table) == _subtrie_id_recursive(node, ref_ids, ref_table)
+    assert got_ids == ref_ids and got_table == ref_table
+
+
+def test_deep_binarized_trie_counts_like_raw():
+    # 200 variables over 128 values binarize to 1,400 trie levels
+    values = tuple(f"v{i}" for i in range(128))
+    rows = [tuple(values[(7 * i + j) % 128] for i in range(200)) for j in (0, 5)]
+    db = Database(Domain(values), {"R": Relation.from_rows(tuple(f"c{i}" for i in range(200)), rows)})
+    q = parse_query("Q(*) :- R(" + ",".join(f"x{i}" for i in range(200)) + ").")
+    order = VarOrder(tuple(f"x{i}" for i in range(200)))
+    raw, _ = dpll_compile(q, db, order)
+    binarized, _, _ = compile_binarized(q, db, order)
+    assert count(binarized, preprocess(binarized)) == count(raw, preprocess(raw)) == 2
 
 
 # --- edge count ------------------------------------------------------------------

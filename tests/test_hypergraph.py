@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import width_oracle as oracle
 from conftest import example51_query, hypergraphs, instances
+from cqda import hypergraph
 from cqda.errors import BudgetExceededError, UncoverableError, VertexNotFoundError
 from cqda.hypergraph import (
     Budget,
@@ -25,11 +27,9 @@ from cqda.hypergraph import (
     is_nest_point,
     is_nest_set,
     nsw_bruteforce,
-    remove_vertex,
     show_width,
     sfhow_width,
     width_of_order,
-    nsw_bruteforce,
 )
 from cqda.query import eval_bruteforce, hypergraph_of
 from cqda.relations import VarOrder
@@ -43,23 +43,23 @@ def edge_set(h):
 
 
 def test_remove_vertex_triangle():
-    out = remove_vertex(TRIANGLE, "a")
+    out = oracle.remove_vertex(TRIANGLE, "a")
     assert out.vertices == {"b", "c"}
     assert edge_set(out) == {frozenset({"b"}), frozenset({"c"}), frozenset({"b", "c"})}
 
 
 def test_remove_vertex_single_edge():
     h = Hypergraph.of("abc", [{"a", "b", "c"}])
-    out = remove_vertex(h, "b")
+    out = oracle.remove_vertex(h, "b")
     assert edge_set(out) == {frozenset({"a", "c"})}
 
 
 def test_remove_isolated_vertex():
     h = Hypergraph.of("ab", [{"a"}])
-    out = remove_vertex(h, "b")
+    out = oracle.remove_vertex(h, "b")
     assert edge_set(out) == {frozenset({"a"})}
     with pytest.raises(VertexNotFoundError):
-        remove_vertex(out, "b")
+        oracle.remove_vertex(out, "b")
 
 
 def test_cover_number():
@@ -85,6 +85,9 @@ def test_how_width_examples():
         assert fhow_width(TRIANGLE, VarOrder(perm)) == Fraction(3, 2)
         assert how_width(TRI_FULL, VarOrder(perm)) == 1
         assert fhow_width(TRI_FULL, VarOrder(perm)) == 1
+    # removing b leaves the fill edge {a, c}, so a's neighbourhood needs three edges
+    fill = Hypergraph.of("abcde", [{"a", "b"}, {"b", "c"}, {"a", "d"}, {"a", "e"}])
+    assert how_width(fill, VarOrder(tuple("bacde"))) == 3
 
 
 def test_show_width_example51():
@@ -286,10 +289,7 @@ def test_best_order_matches_permutation_enumeration(h):
     for kind in ("how", "fhow", "bhow", "bfhow"):
         _, width, exact = best_order(h, kind)
         assert exact
-        brute = min(
-            width_of_order(h, kind, VarOrder(perm))
-            for perm in itertools.permutations(sorted(h.vertices))
-        )
+        brute = min(oracle.width_of_order(h, kind, perm) for perm in itertools.permutations(sorted(h.vertices)))
         assert width == brute
 
 
@@ -301,11 +301,64 @@ def test_best_order_signed_matches_permutation_enumeration(h):
     for kind in ("show", "sfhow"):
         _, width, exact = best_order(signed, kind)
         assert exact
-        brute = min(
-            width_of_order(signed, kind, VarOrder(perm))
-            for perm in itertools.permutations(sorted(h.vertices))
-        )
+        brute = min(oracle.width_of_order(signed, kind, perm) for perm in itertools.permutations(sorted(h.vertices)))
         assert width == brute
+
+
+@st.composite
+def signed_orders(draw):
+    """Edges of at most three vertices with random signs, and a random order of some of the vertices."""
+    verts = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
+    edges = draw(st.lists(st.sets(st.sampled_from(verts), min_size=1, max_size=3), max_size=5))
+    signs = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    signed = SignedHypergraph.of(
+        verts, [e for e, s in zip(edges, signs) if s], [e for e, s in zip(edges, signs) if not s]
+    )
+    perm = draw(st.permutations(verts))
+    return signed, VarOrder(tuple(perm[: draw(st.integers(len(perm) // 2, len(perm)))]))
+
+
+@given(signed_orders())
+@settings(max_examples=150, deadline=None)
+def test_width_of_order_matches_set_based_walk(case):
+    signed, order = case
+    for kind in ("how", "fhow", "show", "sfhow", "bhow", "bfhow"):
+        assert width_of_order(signed, kind, order) == oracle.width_of_order(signed, kind, order), kind
+
+
+@given(hypergraphs(max_vertices=5, max_edges=4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_cover_numbers_match_set_based_search(h, data):
+    target = data.draw(st.sets(st.sampled_from(sorted(h.vertices))))
+    try:
+        expected = (oracle.cover_number(target, h.edges), oracle.fractional_cover_number(target, h.edges))
+    except UncoverableError:
+        with pytest.raises(UncoverableError):
+            cover_number(target, h.edges)
+        with pytest.raises(UncoverableError):
+            fractional_cover_number(target, h.edges)
+        return
+    assert (cover_number(target, h.edges), fractional_cover_number(target, h.edges)) == expected
+
+
+def test_width_of_order_rejects_foreign_and_repeated_vertices():
+    signed = SignedHypergraph.of("abc", TRIANGLE.edges, [])
+    for kind in ("how", "show", "bfhow"):
+        with pytest.raises(VertexNotFoundError):
+            width_of_order(signed, kind, VarOrder(("a", "z")))
+        with pytest.raises(VertexNotFoundError):
+            width_of_order(signed, kind, ("a", "b", "a"))
+    with pytest.raises(VertexNotFoundError):
+        how_width(TRIANGLE, VarOrder(("z",)))
+
+
+def test_width_of_order_builds_its_own_tables():
+    h = hypergraph_of(example51_query())
+    best_order(h, "show")
+    before = dict(hypergraph._FAMILY_TABLES)
+    for kind in ("how", "fhow", "show", "sfhow", "bhow", "bfhow"):
+        width_of_order(h, kind, VarOrder(tuple(sorted(h.vertices))))
+    assert hypergraph._FAMILY_TABLES == before
 
 
 @given(instances(max_vars=4, max_atoms=3, max_dom=3))
