@@ -110,11 +110,14 @@ def frontier(c: Circuit, idx: AccessIndex, tau: Mapping[str, str]) -> Frontier:
     Starting from the output, product gates dissolve into their sinks;
     the bound variables are taken in universe order, and the frontier's
     decision gate on each is crossed along the matching edge.  A missing
-    edge or a Bot gate empties the frontier.
+    edge or a Bot gate empties the frontier; a value outside the domain
+    raises ``ValueError``.
     """
     prefix = c.universe.vars[: len(tau)]
     if set(prefix) != set(tau):
         raise NotAPrefixError("assignment must bind a prefix of the universe order")
+    for value in tau.values():
+        c.domain.rank(value)  # raises ValueError for a value outside the domain
     gates = _expand(c, [c.output])
     for x in prefix:
         for gid in gates or ():
@@ -133,8 +136,6 @@ def _cross(c: Circuit, gates: tuple[int, ...], gid: int, child: int | None) -> t
 
 def _edge_child(c: Circuit, g: DecisionGate, value: str) -> int | None:
     """Child behind the edge labelled ``value``, or ``None`` without one."""
-    if value not in c.domain:
-        return None
     rank = c.domain.rank
     i = bisect_left(g.edges, rank(value), key=lambda e: rank(e[0]))
     if i < len(g.edges) and g.edges[i][0] == value:

@@ -20,16 +20,17 @@ after it is compiled.  Calls are generators: a product yields each
 component's call, and one loop runs the calls on an explicit stack, so
 deep orders never meet Python's recursion limit.
 
-That loop caches each call by its plan entry (its atoms, which of their
-variables are bound, and the variable its gate tests) plus, per atom,
-the canonical id of its residual subtrie: the trie node its bound levels
-reach.  Every trie is hash-consed bottom-up, once per compile and with
-one intern table for all atoms, so equal subtries get equal ids.  The
-key is sound because a call's circuit depends only on those residual
-relations and on the variables the plan entry names.  Equal bound values
-reach the same node, so the key is never finer than keying by the bound
-values; it is the component caching of #SAT compilers applied to shared
-subtries.
+That loop caches each call by the identity of its plan entry (its
+atoms, which of their variables are bound, and the variable its gate
+tests) plus, per atom, the identity of its residual subtrie: the trie
+node its bound levels reach.  ``Relation.trie`` makes equal subtries one
+object, so equal identities mean equal residual relations.  The key is
+sound because a call's circuit depends only on those residual relations
+and on the variables the plan entry names, and the plan entry fixes the
+atoms, so each key position only ever compares nodes of one atom's
+trie.  Equal bound values reach the same node, so the key is never finer
+than keying by the bound values; it is the component caching of #SAT
+compilers applied to shared subtries.
 
 ``binarize`` rewrites a database and query onto the two-value domain,
 spending ceil(log2 |D|) bit variables per original variable.  The bit
@@ -70,47 +71,9 @@ class CompileStats:
 _EMPTY = -1  # result of a call whose relation is empty; it never becomes a gate
 
 
-def _subtrie_id(node: dict, ids: dict[int, int], table: dict) -> int:
-    """Canonical id of a trie node: equal subtries, in any trie, get equal ids.
-
-    Hash-consing bottom-up: a node whose children are leaves is named by
-    its value set, any other node by its ``(value, child id)`` pairs, and
-    ``table`` interns the names.  ``ids`` memoises by node identity.
-    Nodes are named in post-order, children in key order, from an
-    explicit stack, so a trie of any depth fits Python's recursion limit.
-    """
-    got = ids.get(id(node))
-    if got is not None:
-        return got
-    if not next(iter(node.values()), None):
-        got = ids[id(node)] = table.setdefault(frozenset(node), len(table))
-        return got
-    # one frame per inner node on the path: (node, its unread items, pairs named so far, its key in the parent)
-    stack = [(node, iter(node.items()), [], None)]
-    while stack:
-        top, items, pairs, key = stack[-1]
-        for d, child in items:
-            got = ids.get(id(child))
-            if got is None:
-                if next(iter(child.values()), None):
-                    stack.append((child, iter(child.items()), [], d))
-                    break
-                got = ids[id(child)] = table.setdefault(frozenset(child), len(table))
-            pairs.append((d, got))
-        else:
-            got = ids[id(top)] = table.setdefault(frozenset(pairs), len(table))
-            stack.pop()
-            if stack:
-                stack[-1][2].append((key, got))
-    return got
-
-
-def _call_key(call: tuple, nodes: list[dict], ids: dict[int, int], table: dict) -> tuple:
-    """Cache key of a call: its plan entry and the id of each atom's residual subtrie.
-
-    Plan entries are interned, so the entry's identity stands for its value.
-    """
-    return (id(call), *[_subtrie_id(nodes[aid], ids, table) for aid in call[0]])
+def _call_key(call: tuple, nodes: list[dict]) -> tuple:
+    """Cache key of a call: its plan entry and each atom's residual trie node, by identity."""
+    return (id(call), *[id(nodes[aid]) for aid in call[0]])
 
 
 def _supported(guards: list[dict], domain: Domain, rank) -> Sequence[str]:
@@ -274,8 +237,6 @@ def dpll_compile(
         # one loop drives the calls, so depth never meets Python's recursion limit
         stack = [(None, product(kept, len(order)))]
         cache: dict[tuple, int] = {}
-        ids: dict[int, int] = {}
-        table: dict[frozenset, int] = {}
         out = None  # what the next send passes to the generator on top
         while stack:
             key, gen = stack[-1]
@@ -287,7 +248,7 @@ def dpll_compile(
                 if key is not None:
                     cache[key] = out
                 continue
-            key = _call_key(call, nodes, ids, table)
+            key = _call_key(call, nodes)
             out = cache.get(key)
             if out is None:
                 stats.rec_calls += 1

@@ -129,14 +129,11 @@ def da_conjunctive(
     codec: BinCodec | None = None
     if binarize:
         circuit, codec, stats = compile_binarized(body, db, elimination)
-        keep_bits = keep_count * codec.bits
-        if keep_bits < len(circuit.universe):
-            idx = acc.preprocess(circuit)
-            circuit = project_circuit(circuit, idx, keep_bits)
+        keep = keep_count * codec.bits
     else:
         circuit, stats = dpll_compile(body, db, elimination)
-        if keep_count < len(circuit.universe):
-            idx = acc.preprocess(circuit)
-            circuit = project_circuit(circuit, idx, keep_count)
+        keep = keep_count
+    if keep < len(circuit.universe):
+        circuit = project_circuit(circuit, acc.preprocess(circuit), keep)
     index = acc.preprocess(circuit)
     return CircuitEngine(answer_order, db.domain, circuit, index, stats, codec)

@@ -20,7 +20,7 @@ from .errors import (
     UnknownRelationError,
 )
 from .hypergraph import SignedHypergraph
-from .relations import Assignment, Database, Relation
+from .relations import Database, Relation
 
 
 @dataclass(frozen=True)
@@ -228,36 +228,23 @@ def hypergraph_of(q: SignedQuery) -> SignedHypergraph:
     )
 
 
-def _trie_match(node: dict, levels: tuple[str, ...], i: int, tau: Mapping[str, str]) -> bool:
-    if i == len(levels):
-        return True
-    value = tau.get(levels[i])
-    if value is not None:
-        child = node.get(value)
-        return child is not None and _trie_match(child, levels, i + 1, tau)
-    return any(_trie_match(child, levels, i + 1, tau) for child in node.values())
-
-
-def positive_match(atom: Atom, tau: Mapping[str, str], rel: Relation) -> bool:
-    """True iff some stored row agrees with ``tau`` on the bound arguments."""
-    perm = tuple(range(len(atom.args)))
-    return _trie_match(rel.trie(perm), atom.args, 0, tau)
-
-
 def atom_consistent(atom: Atom, tau: Mapping[str, str], db: Database) -> bool:
     """Whether the atom can still be satisfied under the partial tuple.
 
-    A positive atom needs a compatible stored row.  A negated atom only
-    fails once every argument is bound and the bound row is stored.
+    A fully bound atom holds by membership of its row (or non-membership
+    when negated).  A partly bound positive atom needs a stored row that
+    agrees with ``tau`` on its bound arguments; a partly bound negated
+    atom can always still hold.
     """
     rel = db.relations.get(atom.symbol)
     if rel is None:
         raise UnknownRelationError(f"relation {atom.symbol} not in database")
-    if atom.positive:
-        return positive_match(atom, tau, rel)
-    if any(v not in tau for v in atom.args):
+    if all(v in tau for v in atom.args):
+        return (tuple(tau[v] for v in atom.args) in rel.rows) == atom.positive
+    if not atom.positive:
         return True
-    return tuple(tau[v] for v in atom.args) not in rel.rows
+    bound = [(i, tau[v]) for i, v in enumerate(atom.args) if v in tau]
+    return any(all(row[i] == d for i, d in bound) for row in rel.rows)
 
 
 def eval_bruteforce(q: SignedQuery, db: Database) -> Relation:

@@ -156,20 +156,43 @@ class Relation:
             yield Assignment(zip(self.vars, row))
 
     def trie(self, perm: tuple[int, ...]) -> dict:
-        """Nested-dict prefix tree over columns taken in ``perm`` order.
+        """Nested-dict prefix trie over columns taken in ``perm`` order.
 
-        Memoised per permutation; a relation is immutable so the tree is
+        Equal subtries are one object, so a node's identity stands for
+        the rows below it; the compiler keys its cache by it, and the trie
+        is read-only.  Rows go in with ``setdefault``, all ending in one
+        empty leaf.  Every root-to-leaf path has ``len(perm)`` edges, so
+        equal subtries sit at one depth, and they are interned level by
+        level from the leaves, without recursion: a node above the leaf
+        by its value set, any other node by its ``(value, id(child))``
+        pairs once its children are their level's representatives.
+        Memoised per permutation; a relation is immutable, so the trie is
         built at most once for each column ordering.
         """
-        cached = self._tries.get(perm)
-        if cached is None:
-            cached = {}
-            for row in self.rows:
-                node = cached
-                for col in perm:
-                    node = node.setdefault(row[col], {})
-            self._tries[perm] = cached
-        return cached
+        root = self._tries.get(perm)
+        if root is not None:
+            return root
+        root, leaf = {}, {}
+        for row in self.rows if perm else ():  # with no columns the trie is the bare root
+            node = root
+            for col in perm[:-1]:
+                node = node.setdefault(row[col], {})
+            node[row[perm[-1]]] = leaf
+        levels = [[root]]  # keeps every node alive through the pass, so no id is reused
+        for _ in perm[1:]:
+            levels.append([child for node in levels[-1] for child in node.values()])
+        table: dict[frozenset, dict] = {}
+        rep = {id(node): table.setdefault(frozenset(node), node) for node in levels.pop()}
+        for nodes in reversed(levels):
+            below, rep, table = rep, {}, {}
+            for node in nodes:
+                pairs = []
+                for d, child in node.items():
+                    child = node[d] = below[id(child)]
+                    pairs.append((d, id(child)))
+                rep[id(node)] = table.setdefault(frozenset(pairs), node)
+        self._tries[perm] = root
+        return root
 
 
 @dataclass(frozen=True, eq=False)

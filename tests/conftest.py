@@ -53,6 +53,20 @@ def annotated_circuit() -> Circuit:
     return c
 
 
+def tree_trie(rel: Relation, perm: tuple[int, ...]) -> dict:
+    """The trie of ``rel`` over columns ``perm`` as a plain tree: no node is shared.
+
+    Same contents as ``Relation.trie``; a node's identity here names its
+    path from the root, the granularity of keying by bound values.
+    """
+    root: dict = {}
+    for row in rel.rows:
+        node = root
+        for col in perm:
+            node = node.setdefault(row[col], {})
+    return root
+
+
 @dataclass
 class Instance:
     query: SignedQuery

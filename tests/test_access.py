@@ -94,6 +94,18 @@ def test_frontier_basics():
     assert sorted(f.gates) == sorted((a, b))
 
 
+def test_frontier_rejects_a_value_outside_the_domain():
+    # y has no gate, so only the up-front check catches its bad value
+    db = Database(Domain(("a", "b")), {"R": Relation.from_rows(("c0",), [("a",), ("b",)])})
+    c, _ = dpll_compile(parse_query("Q(*) :- R(x)."), db, VarOrder(("y", "x")))
+    idx = preprocess(c)
+    for tau in ({"x": "zzz"}, {"x": "a", "y": "zzz"}):
+        with pytest.raises(ValueError, match="'zzz' outside the domain"):
+            frontier(c, idx, tau)
+    with pytest.raises(ValueError, match="'zzz' outside the domain"):
+        count_leq(c, idx, {"x": "zzz"}, 1)
+
+
 def test_count_leq_on_annotated_circuit():
     c = annotated_circuit()
     idx = preprocess(c)

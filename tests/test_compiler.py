@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import example51_db, example51_query, instances
+from conftest import example51_db, example51_query, instances, tree_trie
 from cqda.circuit import BotGate, DecisionGate, ProductGate, validate_decomposable, validate_ordered
 from cqda.compiler import (
     BinCodec,
@@ -335,18 +335,19 @@ def test_full_domain_branches_match_bruteforce(case):
     assert validate_ordered(circuit, order)
 
 
-@given(instances(), st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_every_call_has_bound_exactly_the_trie_levels_above_its_variable(inst, binarized):
+def _checked_calls(q, db, order, with_values: bool) -> None:
+    """Compile, checking at every call what each atom's residual node has bound.
+
+    The depth of an atom's node says how many of its levels are bound;
+    ``with_values`` also checks that the values on its path agree across
+    atoms, which needs tree tries, where each node has one path.
+    """
     from unittest import mock
 
     from cqda import compiler
 
-    q, db, order = inst.query, inst.db, inst.order
-    if binarized:
-        db, q, order, _ = binarize(db, q, order)
     layouts = [_trie_levels(a, db.relations[a.symbol], order) for a in q.atoms]
-    path_of = {}  # (atom id, id(node)) -> values on the way from the root to node
+    path_of = {}  # (atom id, id(node)) -> values on a way from the root to node
     for aid, (root, _) in enumerate(layouts):
         stack = [(root, ())]
         while stack:
@@ -356,7 +357,7 @@ def test_every_call_has_bound_exactly_the_trie_levels_above_its_variable(inst, b
     real = compiler._call_key
     calls = []
 
-    def checked(call, nodes, ids, table):
+    def checked(call, nodes):
         comp, bound, x, on_x = call
         tau = {}
         for aid in comp:
@@ -364,13 +365,14 @@ def test_every_call_has_bound_exactly_the_trie_levels_above_its_variable(inst, b
             path = path_of[aid, id(nodes[aid])]
             # the atom's node lies below exactly its bound variables, which are a prefix of its levels
             assert set(levels[: len(path)]) == set(levels) & set(bound)
-            for var, d in zip(levels, path):
-                assert tau.setdefault(var, d) == d
+            if with_values:
+                for var, d in zip(levels, path):
+                    assert tau.setdefault(var, d) == d
         for aid, _, _ in on_x:
             levels = layouts[aid][1]
             assert levels[len(path_of[aid, id(nodes[aid])])] == x
         calls.append(call)
-        return real(call, nodes, ids, table)
+        return real(call, nodes)
 
     with mock.patch.object(compiler, "_call_key", checked):
         circuit, _ = dpll_compile(q, db, order.reversed())
@@ -378,26 +380,42 @@ def test_every_call_has_bound_exactly_the_trie_levels_above_its_variable(inst, b
         assert calls
 
 
+@given(instances(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_every_call_has_bound_exactly_the_trie_levels_above_its_variable(inst, binarized):
+    from unittest import mock
+
+    q, db, order = inst.query, inst.db, inst.order
+    if binarized:
+        db, q, order, _ = binarize(db, q, order)
+    _checked_calls(q, db, order, with_values=False)
+    trees = {}
+
+    def tree(rel, perm):
+        # one tree per relation and column order, so the test and the compiler see the same nodes
+        if (id(rel), perm) not in trees:
+            trees[id(rel), perm] = tree_trie(rel, perm)
+        return trees[id(rel), perm]
+
+    with mock.patch.object(Relation, "trie", tree):
+        _checked_calls(q, db, order, with_values=True)
+
+
 # --- cache keys by residual subtrie ----------------------------------------------
-
-def _by_identity(node, ids, table):
-    # one id per trie node: the granularity of keying a call by its bound values
-    return id(node)
-
 
 @given(instances(), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_subtrie_keys_keep_the_answers_and_never_add_calls(inst, binarized):
     from unittest import mock
 
-    from cqda import compiler
     from cqda.circuit import semantics_bruteforce
 
     q, db, order = inst.query, inst.db, inst.order
     if binarized:
         db, q, order, _ = binarize(db, q, order)
     circuit, stats = dpll_compile(q, db, order.reversed())
-    with mock.patch.object(compiler, "_subtrie_id", _by_identity):
+    # on tree tries a node's identity is its path: the granularity of keying by bound values
+    with mock.patch.object(Relation, "trie", tree_trie):
         plain, plain_stats = dpll_compile(q, db, order.reversed())
     expected = eval_bruteforce(q, db).rows
     assert semantics_bruteforce(circuit).rows == expected
@@ -408,8 +426,6 @@ def test_subtrie_keys_keep_the_answers_and_never_add_calls(inst, binarized):
 
 def test_star_with_negated_leaves_shares_equal_subtries():
     from unittest import mock
-
-    from cqda import compiler
 
     # x=a and x=b leave R1 and R2 the same rows, so the y1 and y2 calls repeat
     db = Database(
@@ -425,38 +441,12 @@ def test_star_with_negated_leaves_shares_equal_subtries():
     q = parse_query("Q(*) :- C(x), R1(x,y1), R2(x,y2), !N1(y1), !N2(y2).")
     order = VarOrder(("x", "y1", "y2"))
     circuit, _, stats = compile_binarized(q, db, order.reversed())
-    with mock.patch.object(compiler, "_subtrie_id", _by_identity):
+    with mock.patch.object(Relation, "trie", tree_trie):
         plain, _, plain_stats = compile_binarized(q, db, order.reversed())
     assert stats.cache_hits >= 1
     assert plain_stats.cache_hits == 0
     assert stats.rec_calls < plain_stats.rec_calls
     assert count(circuit, preprocess(circuit)) == count(plain, preprocess(plain)) == 2
-
-
-def _subtrie_id_recursive(node, ids, table):
-    # the recursive naming the compiler's stack walk must reproduce, id for id
-    got = ids.get(id(node))
-    if got is None:
-        if next(iter(node.values()), None):
-            name = frozenset([(d, _subtrie_id_recursive(child, ids, table)) for d, child in node.items()])
-        else:
-            name = frozenset(node)
-        got = ids[id(node)] = table.setdefault(name, len(table))
-    return got
-
-
-@given(st.lists(st.lists(st.tuples(*[st.sampled_from("abc")] * 3), max_size=8), min_size=1, max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_subtrie_ids_match_recursive_naming(relations):
-    from cqda.compiler import _subtrie_id
-
-    # several tries share one intern table, as the atoms of one compile do
-    tries = [Relation.from_rows(("c0", "c1", "c2"), rows).trie((2, 0, 1)) for rows in relations]
-    got_ids, got_table, ref_ids, ref_table = {}, {}, {}, {}
-    for trie in tries:
-        for node in (trie, next(iter(trie.values()), trie)):
-            assert _subtrie_id(node, got_ids, got_table) == _subtrie_id_recursive(node, ref_ids, ref_table)
-    assert got_ids == ref_ids and got_table == ref_table
 
 
 def test_deep_binarized_trie_counts_like_raw():

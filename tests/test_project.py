@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import example51_db, example51_query, instances
 from cqda.access import count, direct_access, preprocess
@@ -10,7 +11,7 @@ from cqda.compiler import dpll_compile
 from cqda.errors import NotFreeConnexError
 from cqda.project import CircuitEngine, da_conjunctive, project_circuit
 from cqda.query import SignedQuery, eval_bruteforce, parse_query
-from cqda.relations import Assignment, Relation, VarOrder, sort_lex
+from cqda.relations import Assignment, Database, Domain, Relation, VarOrder, sort_lex
 
 
 def projected_rows(rel: Relation, keep: tuple[str, ...]) -> frozenset:
@@ -98,6 +99,41 @@ def test_da_conjunctive_random_free_prefix(inst):
         assert got == oracle
         for k, t in enumerate(got, 1):
             assert engine.rank_of(t) == k
+
+
+@given(instances(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_answers_survive_atom_order_value_names_and_encoding(inst, data):
+    q, db, order = inst.query, inst.db, inst.order
+    keep = data.draw(st.integers(0, len(order)), label="free prefix")
+    free = None if keep == len(order) else frozenset(order.vars[:keep])
+    binarize = data.draw(st.booleans(), label="binarize")
+    engine = da_conjunctive(SignedQuery(q.atoms, free), db, order, binarize=binarize)
+    answers = list(engine.answers())
+
+    atoms = data.draw(st.permutations(q.atoms), label="atom order")
+    permuted = da_conjunctive(SignedQuery(tuple(atoms), free), db, order, binarize=binarize)
+    assert list(permuted.answers()) == answers
+
+    toggled = da_conjunctive(SignedQuery(q.atoms, free), db, order, binarize=not binarize)
+    assert list(toggled.answers()) == answers
+
+    # new names in any string order; the domain keeps its declared order
+    size = len(db.domain)
+    distinct = st.lists(st.text("abz019", min_size=1, max_size=3), min_size=size, max_size=size, unique=True)
+    names = data.draw(distinct, label="value names")
+    rename = dict(zip(db.domain.values, names))
+    renamed_db = Database(
+        Domain(tuple(names)),
+        {
+            symbol: Relation(rel.vars, frozenset(tuple(map(rename.__getitem__, row)) for row in rel.rows))
+            for symbol, rel in db.relations.items()
+        },
+    )
+    renamed = da_conjunctive(SignedQuery(q.atoms, free), renamed_db, order, binarize=binarize)
+    back = {new: old for old, new in rename.items()}
+    assert [{v: back[d] for v, d in t.items()} for t in renamed.answers()] == answers
+    assert renamed.stats == engine.stats
 
 
 @pytest.mark.parametrize("engine", ["binarized", "raw", "reduction"])

@@ -86,6 +86,15 @@ def test_atom_consistency():
     full = {"x1": "0", "x2": "0", "x3": "0", "x4": "0"}
     assert not atom_consistent(s, full, db)
     assert atom_consistent(s, {"x1": "0"}, db)
+    # bound on the first and last columns only: some stored row must match both
+    three = Database(
+        Domain(("0", "1")), {"U": Relation.from_rows(("c0", "c1", "c2"), [("0", "1", "1"), ("1", "0", "0")])}
+    )
+    u = Atom(True, "U", ("a", "b", "c"))
+    assert atom_consistent(u, {"a": "0", "c": "1"}, three)
+    assert atom_consistent(u, {"a": "1", "c": "0"}, three)
+    assert not atom_consistent(u, {"a": "0", "c": "0"}, three)
+    assert not atom_consistent(u, {"a": "1", "c": "1"}, three)
     with pytest.raises(UnknownRelationError):
         atom_consistent(Atom(True, "Nope", ("x",)), {}, db)
 

@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import tree_trie
 from cqda.errors import OutOfRangeError
 from cqda.relations import (
     Assignment,
@@ -184,3 +185,21 @@ def test_join_associative_commutative(instances_seed):
     left = join(join(r1, r2), r3)
     right = join(r1, join(r2, r3))
     assert set(left.assignments()) == set(right.assignments())
+
+
+@given(random_relation())
+@settings(max_examples=100)
+def test_trie_is_the_tree_with_equal_subtries_shared(data):
+    r, order, _ = data
+    perm = tuple(r.vars.index(v) for v in order)
+    trie = r.trie(perm)
+    assert trie == tree_trie(r, perm)
+    assert r.trie(perm) is trie
+    level = [trie]
+    for _ in range(len(perm) + 1):
+        # equal subtries sit at one depth, and there they are one object
+        for a in level:
+            for b in level:
+                assert (a is b) == (a == b)
+        level = [child for node in level for child in node.values()]
+    assert not level
