@@ -2,8 +2,12 @@
 """Differential fuzzing: both engines against the brute-force oracle.
 
 Generates random signed queries and databases, sorts the brute-force
-answers, and checks count plus every k-th access for the circuit engine
-(raw and binarized) and the subtraction-based reduction engine.
+answers, and checks count, every k-th access and the rank of every
+answer for the circuit engine (raw and binarized) and the
+subtraction-based reduction engine.  Each instance is also given a head,
+a random prefix of its significance order, and the projected query is
+checked the same way on the two circuit engines, which project while
+they compile.
 """
 
 from __future__ import annotations
@@ -17,9 +21,15 @@ sys.path.insert(0, "tests")
 from conftest import make_instance  # noqa: E402
 
 from cqda.project import da_conjunctive  # noqa: E402
-from cqda.query import eval_bruteforce  # noqa: E402
+from cqda.query import SignedQuery, eval_bruteforce  # noqa: E402
 from cqda.reduction import signed_da_via_reduction  # noqa: E402
-from cqda.relations import sort_lex  # noqa: E402
+from cqda.relations import VarOrder, sort_lex  # noqa: E402
+
+
+def fail(trial: int, query, message: str) -> None:
+    print(f"trial {trial}: {message}")
+    print(f"  query: {query}")
+    sys.exit(1)
 
 
 def main() -> None:
@@ -35,24 +45,27 @@ def main() -> None:
     accesses = 0
     for trial in range(args.iterations):
         inst = make_instance(rng, args.max_vars, args.max_atoms, args.max_dom)
-        oracle = sort_lex(eval_bruteforce(inst.query, inst.db), inst.order, inst.db.domain)
-        engines = {
-            "circuit": da_conjunctive(inst.query, inst.db, inst.order, binarize=False),
-            "binarized": da_conjunctive(inst.query, inst.db, inst.order, binarize=True),
-            "reduction": signed_da_via_reduction(inst.query, inst.db, inst.order),
+        q, db, order = inst.query, inst.db, inst.order
+        keep = rng.randint(0, len(order))
+        head, prefix = SignedQuery(q.atoms, frozenset(order.vars[:keep])), VarOrder(order.vars[:keep])
+        runs = {
+            "circuit": (q, order, da_conjunctive(q, db, order, binarize=False)),
+            "binarized": (q, order, da_conjunctive(q, db, order, binarize=True)),
+            "reduction": (q, order, signed_da_via_reduction(q, db, order)),
+            f"circuit, head of {keep}": (head, prefix, da_conjunctive(head, db, order, binarize=False)),
+            f"binarized, head of {keep}": (head, prefix, da_conjunctive(head, db, order, binarize=True)),
         }
-        for name, engine in engines.items():
+        for name, (query, answer_order, engine) in runs.items():
+            oracle = sort_lex(eval_bruteforce(query, db), answer_order, db.domain)
             if engine.count() != len(oracle):
-                print(f"trial {trial}: {name} count {engine.count()} != {len(oracle)}")
-                print(f"  query: {inst.query}")
-                sys.exit(1)
+                fail(trial, query, f"{name} count {engine.count()} != {len(oracle)}")
             for k, expected in enumerate(oracle, 1):
                 got = engine.kth(k)
                 accesses += 1
                 if got != expected:
-                    print(f"trial {trial}: {name} kth({k}) = {dict(got)} != {dict(expected)}")
-                    print(f"  query: {inst.query}")
-                    sys.exit(1)
+                    fail(trial, query, f"{name} kth({k}) = {dict(got)} != {dict(expected)}")
+                if engine.rank_of(expected) != k:
+                    fail(trial, query, f"{name} rank_of({dict(expected)}) = {engine.rank_of(expected)} != {k}")
     print(f"ok: {args.iterations} instances, {accesses} accesses, engines agree")
 
 

@@ -14,7 +14,8 @@ keeps every variable.
 first listed variable is the most significant.  Engines reverse it
 internally where elimination order is needed.  Exit codes: 0 success,
 1 usage or parse failure, 2 out-of-range index, 3 exhausted search
-budget.  ``CQDA_BUDGET`` overrides the exhaustive-search state cap.
+budget.  ``CQDA_BUDGET`` overrides the state cap of the exhaustive
+searches and of compilation.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ def database_from_dict(doc: dict) -> Database:
             raise DatabaseFormatError(f"relation {name} has invalid arity")
         if not isinstance(spec["tuples"], list):
             raise DatabaseFormatError(f"relation {name}: 'tuples' must be a list")
-        rows = set()
         for row in spec["tuples"]:
             if not isinstance(row, list) or len(row) != arity:
                 raise DatabaseFormatError(f"relation {name}: tuple width differs from arity")
@@ -75,9 +75,10 @@ def database_from_dict(doc: dict) -> Database:
             if not inside:
                 value = next(v for v in row if not isinstance(v, str) or v not in known)
                 raise DatabaseFormatError(f"relation {name}: value {value!r} outside the domain")
-            rows.add(tuple(row))  # duplicates collapse silently: relations are sets
-        relations[name] = Relation(tuple(f"c{j}" for j in range(arity)), frozenset(rows))
-    return Database(domain, relations)
+        rows = frozenset(map(tuple, spec["tuples"]))  # duplicates collapse silently: relations are sets
+        # every row's width and values are checked above, so the constructors skip their checks
+        relations[name] = Relation(tuple(f"c{j}" for j in range(arity)), rows, check=False)
+    return Database(domain, relations, check=False)
 
 
 def database_to_dict(db: Database) -> dict:
@@ -161,11 +162,12 @@ def resolve_order(q: SignedQuery, spec: str | None) -> VarOrder:
 
 
 def _build_engine(args, q: SignedQuery, db: Database, order: VarOrder):
+    budget = _budget()
     if getattr(args, "engine", "circuit") == "reduction":
         if q.free is not None:
             raise CqdaError("the reduction engine answers join queries only")
-        return signed_da_via_reduction(q, db, order, binarize=not args.no_binarize)
-    return da_conjunctive(q, db, order, binarize=not args.no_binarize)
+        return signed_da_via_reduction(q, db, order, binarize=not args.no_binarize, budget=budget)
+    return da_conjunctive(q, db, order, binarize=not args.no_binarize, budget=budget)
 
 
 def _budget() -> hg.Budget:
@@ -233,10 +235,11 @@ def cmd_compile(args) -> int:
     db = load_database(args.db)
     order = resolve_order(q, args.order)
     body = SignedQuery(q.atoms, None)
+    budget = _budget()
     if args.no_binarize:
-        circuit, stats = dpll_compile(body, db, order.reversed())
+        circuit, stats = dpll_compile(body, db, order.reversed(), budget)
     else:
-        circuit, _, stats = compile_binarized(body, db, order.reversed())
+        circuit, _, stats = compile_binarized(body, db, order.reversed(), budget)
     text = dump_circuit(circuit)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -301,7 +304,7 @@ def cmd_project(args) -> int:
     db = load_database(args.db)
     free = frozenset(s for s in (part.strip() for part in args.free.split(",")) if s)
     q = SignedQuery(q.atoms, free)
-    engine = da_conjunctive(q, db, resolve_order(q, args.order), binarize=not args.no_binarize)
+    engine = _build_engine(args, q, db, resolve_order(q, args.order))
     if args.k is not None:
         _emit(_assignment_json(engine.kth(args.k)), args.pretty)
         return 0

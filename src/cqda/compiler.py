@@ -32,6 +32,17 @@ trie.  Equal bound values reach the same node, so the key is never finer
 than keying by the bound values; it is the component caching of #SAT
 compilers applied to shared subtries.
 
+A query with a head is projected while it compiles, as projected model
+counters do (#∃SAT; Lagniez and Marquis's recursive projected
+counter).  Its free variables must be the last ones the elimination
+order lists, so every call on a free variable sits above every call on
+an existential one.  A call on an existential variable tries its
+supported values in rank order and stops at the first whose product is
+nonempty: it answers only whether a model exists and builds no gate.
+Products drop such answers, so the circuit mentions the free variables
+alone, and ``project_circuit`` applied to the join's circuit is the
+oracle it is tested against.
+
 ``binarize`` rewrites a database and query onto the two-value domain,
 spending ceil(log2 |D|) bit variables per original variable.  The bit
 order puts each variable's most significant bit first, which makes the
@@ -45,7 +56,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .circuit import Circuit
-from .errors import RankOutOfDomainError
+from .errors import BudgetExceededError, NotFreeConnexError, RankOutOfDomainError
+from .hypergraph import Budget
 from .query import Atom, SignedQuery, check_compatible
 from .relations import Assignment, Database, Domain, Relation, VarOrder
 
@@ -69,6 +81,7 @@ class CompileStats:
 
 
 _EMPTY = -1  # result of a call whose relation is empty; it never becomes a gate
+_TOP = -2  # result of an existential call with a model; products drop it, an edge or the output makes it Top
 
 
 def _call_key(call: tuple, nodes: list[dict]) -> tuple:
@@ -87,24 +100,37 @@ def _supported(guards: list[dict], domain: Domain, rank) -> Sequence[str]:
 
 
 def dpll_compile(
-    query: SignedQuery, db: Database, order: VarOrder
+    query: SignedQuery, db: Database, order: VarOrder, budget: Budget | None = None
 ) -> tuple[Circuit, CompileStats]:
-    """Compile the answers of a join query into an ordered circuit.
+    """Compile the answers of a query into an ordered circuit.
 
     ``order`` is the elimination order; it must cover the query
     variables (extra variables are allowed and stay unconstrained).  The
-    result computes the answer set over ``order`` reversed, which is the
-    universe stored on the circuit.  Every gate reachable from the
-    output computes a nonempty relation; an unsatisfiable query yields
-    the Bot gate as output.  ``stats.edges`` counts the edges of every
-    gate built, so it is at least the reachable circuit's size.
+    result computes the answer set over the universe stored on the
+    circuit: ``order`` reversed for a join query, and its prefix of free
+    variables for a query with a head, which must be a suffix of
+    ``order`` or ``NotFreeConnexError`` is raised.  Every gate reachable
+    from the output computes a nonempty relation; an unsatisfiable query
+    yields the Bot gate as output.  ``stats.edges`` counts the edges of
+    every gate built, so it is at least the reachable circuit's size.
+    More than ``budget.max_states`` calls raise ``BudgetExceededError``;
+    without a budget the calls are not capped.
     """
     check_compatible(query, db)
     if not query.variables <= set(order.vars):
         raise ValueError("elimination order must cover every query variable")
+    universe = order.reversed()
+    if query.free is not None:
+        universe = VarOrder(universe.vars[: len(query.free)])
+        if set(universe.vars) != query.free:
+            raise NotFreeConnexError(
+                "free variables must form a prefix of the significance order (a suffix of the elimination order)"
+            )
+    cut = len(order) - len(universe)  # a call on a variable below this position is existential
+    max_calls = None if budget is None else budget.max_states
     domain = db.domain
     rank = {d: i for i, d in enumerate(domain.values)}.__getitem__
-    circuit = Circuit(domain, order.reversed())
+    circuit = Circuit(domain, universe)
     stats = CompileStats()
 
     atoms = query.atoms
@@ -174,28 +200,31 @@ def dpll_compile(
             plans[key] = got
         return got
 
-    def product(aids: tuple, px: int):
-        """Product of the components left once the variables at position >= px are bound.
+    def product(calls: list):
+        """Product of the components whose plan entries are ``calls``.
 
         Yields each component's call, its plan entry, and receives its
-        gate; the first empty component ends the product.
+        gate; the first empty component ends the product, and ``_TOP``
+        gates are left out of it.
         """
         kids = []
-        for call in plan(aids, px):
+        for call in calls:
             gate = yield call
             if gate == _EMPTY:
                 return _EMPTY
-            kids.append(gate)
+            if gate != _TOP:
+                kids.append(gate)
         if not kids:
-            return circuit.top()
+            return _TOP
         if len(kids) == 1:
             return kids[0]
         stats.edges += len(kids)
         return circuit.add_product(kids)
 
     def branch(call: tuple):
-        """Decision gate of one call, or ``_EMPTY``."""
+        """Decision gate of one call, or ``_EMPTY``; ``_TOP`` for an existential call with a model."""
         aids, _, x, on_x = call
+        existential = position[x] < cut
         at_x = []  # (atom id, trie node) per atom on x; x is the next level of each
         guards = []
         negs = []  # (atom id, trie node, x is its last level) per negated atom on x
@@ -207,6 +236,7 @@ def dpll_compile(
             else:
                 negs.append((aid, node, last))
         edges = []
+        found = False  # an existential call stops at its first value with a model
         # positive atoms support every value by construction; only negated atoms on x remain
         for d in _supported(guards, domain, rank):
             dropped = set()
@@ -220,11 +250,17 @@ def dpll_compile(
                 for aid, node in at_x:
                     if aid not in dropped:
                         nodes[aid] = node[d]
-                gate = yield from product(kept, position[x])
+                calls = plan(kept, position[x])
+                gate = (yield from product(calls)) if calls else _TOP
                 if gate != _EMPTY:
-                    edges.append((d, gate))
+                    if existential:
+                        found = True
+                        break
+                    edges.append((d, circuit.top() if gate == _TOP else gate))
         for aid, node in at_x:
             nodes[aid] = node
+        if found:
+            return _TOP
         if not edges:
             return _EMPTY
         stats.edges += len(edges)
@@ -235,7 +271,7 @@ def dpll_compile(
         # a negated atom over an empty relation holds everywhere
         kept = tuple(aid for aid in range(len(atoms)) if atoms[aid].positive or tries[aid])
         # one loop drives the calls, so depth never meets Python's recursion limit
-        stack = [(None, product(kept, len(order)))]
+        stack = [(None, product(plan(kept, len(order))))]
         cache: dict[tuple, int] = {}
         out = None  # what the next send passes to the generator on top
         while stack:
@@ -252,10 +288,12 @@ def dpll_compile(
             out = cache.get(key)
             if out is None:
                 stats.rec_calls += 1
+                if max_calls is not None and stats.rec_calls > max_calls:
+                    raise BudgetExceededError(f"compilation exceeded the budget of {max_calls} calls")
                 stack.append((key, branch(call)))
             else:
                 stats.cache_hits += 1
-    circuit.set_output(circuit.bot() if out == _EMPTY else out)
+    circuit.set_output(circuit.bot() if out == _EMPTY else circuit.top() if out == _TOP else out)
 
     stats.gates = len(circuit.gates)
     return circuit, stats
@@ -354,7 +392,7 @@ def binarize(
     for name, rel in db.relations.items():
         cols = tuple(f"c{j}" for j in range(len(rel.vars) * b))
         rows = frozenset(tuple(chain.from_iterable(map(codec.codes.__getitem__, row))) for row in rel.rows)
-        relations[name] = Relation(cols, rows)
+        relations[name] = Relation(cols, rows, check=False)  # codes have b bits per source cell
 
     bin_atoms = [
         Atom(a.positive, a.symbol, tuple(bit for v in a.args for bit in names[v]))
@@ -373,7 +411,7 @@ def binarize(
             relations[symbol] = Relation(bit_cols, frozenset(invalid))
             bin_atoms.append(Atom(False, symbol, names[var]))
 
-    bin_db = Database(BIN_DOMAIN, relations)
+    bin_db = Database(BIN_DOMAIN, relations, check=False)  # every bit is "0" or "1"
     bin_free = None if q.free is None else frozenset(bit for v in q.free for bit in names[v])
     bin_q = SignedQuery(tuple(bin_atoms), bin_free)
 
@@ -396,15 +434,16 @@ def debin_tuple(t: Mapping[str, str], codec: BinCodec) -> Assignment:
 
 
 def compile_binarized(
-    q: SignedQuery, db: Database, order: VarOrder
+    q: SignedQuery, db: Database, order: VarOrder, budget: Budget | None = None
 ) -> tuple[Circuit, BinCodec, CompileStats]:
     """Binarize, then compile; the circuit lives on the bit variables.
 
     ``order`` is the elimination order on the original variables.  The
-    circuit's universe is the bit significance order, so the k-th bit
-    tuple decodes to the k-th original answer.
+    circuit's universe is the bit significance order, cut to the free
+    variables' bits when the query has a head, so the k-th bit tuple
+    decodes to the k-th original answer.
     """
     access = order.reversed()
     bin_db, bin_q, bin_access, codec = binarize(db, q, access)
-    circuit, stats = dpll_compile(bin_q, bin_db, bin_access.reversed())
+    circuit, stats = dpll_compile(bin_q, bin_db, bin_access.reversed(), budget)
     return circuit, codec, stats

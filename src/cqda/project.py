@@ -3,9 +3,13 @@
 Projection keeps a prefix of the circuit's universe: because the
 circuit is ordered, every decision gate on a dropped variable sits
 below the kept ones and can be replaced by a constant recording whether
-its subcircuit is satisfiable.  The pipeline below compiles a query
-(binarized by default), projects to the free variables when the query
-has a head, and hands back direct access over the answers.
+its subcircuit is satisfiable.  The pipeline does not run this pass:
+``dpll_compile`` projects while it compiles, stopping each call on an
+existential variable at its first model, so the pipeline below compiles
+a query with its head (binarized by default), fills the counting tables
+once, and hands back direct access over the answers.
+``project_circuit`` stays as the oracle that compile-time projection is
+tested against.
 
 Order conventions, fixed once here: the user-facing order is the
 lexicographic significance order (most significant variable first).
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from . import access as acc
 from .circuit import BotGate, Circuit, DecisionGate, TopGate
 from .compiler import BinCodec, CompileStats, compile_binarized, debin_tuple, dpll_compile
-from .errors import NotFreeConnexError
+from .hypergraph import Budget
 from .query import SignedQuery, check_compatible
 from .relations import Assignment, Database, Domain, VarOrder
 
@@ -102,38 +106,23 @@ def da_conjunctive(
     order: VarOrder,
     *,
     binarize: bool = True,
+    budget: Budget | None = None,
 ) -> CircuitEngine:
-    """Compile, optionally project, preprocess; return the access handle.
+    """Compile, projecting to the head while compiling, then preprocess once.
 
     ``order`` is the significance order and must cover the query
     variables (it may mention extra variables, which pad the answer
     space).  When the query has free variables they must form a prefix
-    of ``order``; otherwise the order is rejected as not free-connex.
+    of ``order``; otherwise the compiler rejects the order as not
+    free-connex.  ``budget`` caps the compiler's calls.
     """
     check_compatible(q, db)
     if not q.variables <= set(order.vars):
         raise ValueError("order must cover every query variable")
-
-    if q.free is None:
-        keep_count = len(order)
-    else:
-        keep_count = len(q.free)
-        if frozenset(order.vars[:keep_count]) != q.free:
-            raise NotFreeConnexError(
-                "free variables must form a prefix of the significance order"
-            )
-    answer_order = VarOrder(order.vars[:keep_count])
-
-    body = SignedQuery(q.atoms, None)
-    elimination = order.reversed()
+    answer_order = order if q.free is None else VarOrder(order.vars[: len(q.free)])
     codec: BinCodec | None = None
     if binarize:
-        circuit, codec, stats = compile_binarized(body, db, elimination)
-        keep = keep_count * codec.bits
+        circuit, codec, stats = compile_binarized(q, db, order.reversed(), budget)
     else:
-        circuit, stats = dpll_compile(body, db, elimination)
-        keep = keep_count
-    if keep < len(circuit.universe):
-        circuit = project_circuit(circuit, acc.preprocess(circuit), keep)
-    index = acc.preprocess(circuit)
-    return CircuitEngine(answer_order, db.domain, circuit, index, stats, codec)
+        circuit, stats = dpll_compile(q, db, order.reversed(), budget)
+    return CircuitEngine(answer_order, db.domain, circuit, acc.preprocess(circuit), stats, codec)

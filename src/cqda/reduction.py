@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from .access import rank_by_kth
 from .errors import OutOfRangeError
+from .hypergraph import Budget
 from .project import da_conjunctive
 from .query import SignedQuery
 from .relations import Assignment, Database, Domain, VarOrder
@@ -140,12 +141,12 @@ def qnn_da(spec: QnnSpec, base):
 
 
 def signed_da_via_reduction(
-    q: SignedQuery, db: Database, order: VarOrder, *, binarize: bool = True
+    q: SignedQuery, db: Database, order: VarOrder, *, binarize: bool = True, budget: Budget | None = None
 ):
-    """End-to-end second engine: every negated atom peeled by subtraction."""
+    """End-to-end second engine: every negated atom peeled by subtraction; ``budget`` caps each compile."""
 
     def base(flipped: frozenset[int]):
-        return da_conjunctive(positive_part(q, flipped), db, order, binarize=binarize)
+        return da_conjunctive(positive_part(q, flipped), db, order, binarize=binarize, budget=budget)
 
     negatives = frozenset(i for i, a in enumerate(q.atoms) if not a.positive)
     return qnn_da(QnnSpec(frozenset(), negatives), base)

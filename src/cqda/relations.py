@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .errors import OutOfRangeError
 
@@ -127,19 +127,22 @@ class Relation:
     """Set of tuples over a fixed variable list.
 
     Rows are stored positionally, aligned with ``vars``.  Set semantics:
-    duplicates are impossible by construction.
+    duplicates are impossible by construction.  ``check=False`` skips
+    the row width check, for callers that have checked every row.
     """
 
     vars: tuple[str, ...]
     rows: frozenset[tuple[str, ...]]
     _tries: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    check: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check: bool):
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("relation variables must be distinct")
-        for row in self.rows:
-            if len(row) != len(self.vars):
-                raise ValueError("row width differs from variable list")
+        if check:
+            for row in self.rows:
+                if len(row) != len(self.vars):
+                    raise ValueError("row width differs from variable list")
 
     @classmethod
     def from_rows(cls, vars: Iterable[str], rows: Iterable[Iterable[str]]) -> Relation:
@@ -197,12 +200,19 @@ class Relation:
 
 @dataclass(frozen=True, eq=False)
 class Database:
-    """Ordered domain plus named positional relations."""
+    """Ordered domain plus named positional relations.
+
+    ``check=False`` skips the check that every value lies in the domain,
+    for callers that have checked every value.
+    """
 
     domain: Domain
     relations: dict[str, Relation]
+    check: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check: bool):
+        if not check:
+            return
         known = self.domain._pos.keys()
         for name, rel in self.relations.items():
             if not known >= set(itertools.chain.from_iterable(rel.rows)):

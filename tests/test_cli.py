@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from cqda.cli import database_from_dict, database_to_dict, main
 from cqda.query import eval_bruteforce, parse_query
@@ -235,6 +235,19 @@ def test_non_numeric_budget_is_a_usage_error(files, capsys, monkeypatch):
     assert "CQDA_BUDGET" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["count", "compile", "project"])
+def test_compile_budget_exhausted_exits_3(files, capsys, monkeypatch, command):
+    db, query = files
+    extra = ["--free", "x1,x2"] if command == "project" else []
+    monkeypatch.setenv("CQDA_BUDGET", "1")
+    code, out, err = run(capsys, command, db, query, *extra)
+    assert code == 3 and out == ""
+    assert err.startswith("error: compilation exceeded the budget of 1 calls")
+    assert len(err.strip().splitlines()) == 1
+    monkeypatch.setenv("CQDA_BUDGET", "1000")
+    assert run(capsys, command, db, query, *extra)[0] == 0
+
+
 @pytest.mark.parametrize("value", [["0"], 0, None, {"a": "0"}])
 def test_rank_rejects_a_non_string_tuple_value(files, capsys, value):
     db, query = files
@@ -305,13 +318,32 @@ def _argvs(draw):
     return command, extra
 
 
-@given(_DB_DOC, _argvs())
-@settings(max_examples=150, deadline=None)
-def test_cli_never_raises_on_generated_input(doc, argv):
+_HEADS = st.sampled_from(["Q(*)", "Q(x1,x2,x3,x4)", "Q(x1,x2)", "Q(x1,x3)", "Q(x4)", "Q()", "Q(y)"])
+_BODIES = st.sampled_from([
+    "!S(x1,x2,x3,x4), T(x1,x3), R(x2,x4)",
+    "R(x1,x2), !T(x2,x3)",
+    "S(x1,x2,x3,x4), !R(x1,x2)",
+    "R(x1,x1)",
+    "U(x1)",
+    "T(x1,x2,x3)",
+])
+_QUERY_TEXT = st.one_of(
+    st.just(EX51_QUERY),
+    st.builds(lambda head, body: f"{head} :- {body}.\n", _HEADS, _BODIES),
+    st.text(alphabet="QRSTx1234(),!.:-* \n", max_size=40),
+)
+# None leaves CQDA_BUDGET unset; small caps stop compilation, the rest are malformed
+_BUDGET = st.one_of(st.none(), st.sampled_from(["1", "3", "40", "1000"]), st.sampled_from(["0", "-2", "", "abc"]), _TEXT)
+
+
+@given(_DB_DOC, _argvs(), _QUERY_TEXT, _BUDGET)
+@settings(max_examples=200, deadline=None)
+def test_cli_never_raises_on_generated_input(doc, argv, query_text, budget):
     import contextlib
     import io
     import os
     import tempfile
+    from unittest import mock
 
     command, extra = argv
     with tempfile.TemporaryDirectory() as tmp:
@@ -319,9 +351,14 @@ def test_cli_never_raises_on_generated_input(doc, argv):
         with open(db, "w") as fh:
             json.dump(doc, fh)
         with open(query, "w") as fh:
-            fh.write(EX51_QUERY)
+            fh.write(query_text)
         paths = [query, "--db", db] if command == "width" else [db, query]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-            code = main([command, *paths, *extra])
+        with mock.patch.dict(os.environ):  # restores the environment on exit
+            os.environ.pop("CQDA_BUDGET", None)
+            if budget is not None:
+                os.environ["CQDA_BUDGET"] = budget
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([command, *paths, *extra])
+    event(f"exit {code}")
     assert code in (0, 1, 2, 3)
     assert code == 0 or err.getvalue().count("error:") == 1

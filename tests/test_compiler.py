@@ -14,8 +14,8 @@ from cqda.compiler import (
     debin_tuple,
     dpll_compile,
 )
-from cqda.errors import RankOutOfDomainError
-from cqda.hypergraph import Hypergraph, fhow_width, show_width
+from cqda.errors import BudgetExceededError, RankOutOfDomainError
+from cqda.hypergraph import Budget, Hypergraph, fhow_width, show_width
 from cqda.query import Atom, SignedQuery, eval_bruteforce, hypergraph_of, parse_query
 from cqda.relations import Assignment, Database, Domain, Relation, VarOrder, sort_lex
 from cqda.access import count, direct_access, preprocess
@@ -27,6 +27,23 @@ def test_compile_example51_shares_and_multiplies(ex51):
     assert count(circuit, preprocess(circuit)) == 8
     assert stats.cache_hits >= 1
     assert any(isinstance(g, ProductGate) for g in circuit.gates)
+
+
+@pytest.mark.parametrize("binarized", [False, True])
+def test_compile_budget_caps_the_calls(ex51, binarized):
+    q, db, order = ex51
+
+    def compile_with(budget):
+        if binarized:
+            circuit, _, stats = compile_binarized(q, db, order.reversed(), budget)
+            return circuit, stats
+        return dpll_compile(q, db, order.reversed(), budget)
+
+    circuit, stats = compile_with(None)
+    capped, capped_stats = compile_with(Budget(stats.rec_calls))
+    assert capped_stats == stats and len(capped.gates) == len(circuit.gates)
+    with pytest.raises(BudgetExceededError, match=f"budget of {stats.rec_calls - 1} calls"):
+        compile_with(Budget(stats.rec_calls - 1))
 
 
 def test_compile_empty_positive_relation():

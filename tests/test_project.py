@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import example51_db, example51_query, instances
+from cqda import access
 from cqda.access import count, direct_access, preprocess
-from cqda.circuit import circuit_size, semantics_bruteforce, validate_decomposable
-from cqda.compiler import dpll_compile
+from cqda.circuit import circuit_size, semantics_bruteforce, validate_decomposable, validate_ordered
+from cqda.compiler import compile_binarized, dpll_compile
 from cqda.errors import NotFreeConnexError
 from cqda.project import CircuitEngine, da_conjunctive, project_circuit
 from cqda.query import SignedQuery, eval_bruteforce, parse_query
@@ -99,6 +100,58 @@ def test_da_conjunctive_random_free_prefix(inst):
         assert got == oracle
         for k, t in enumerate(got, 1):
             assert engine.rank_of(t) == k
+
+
+@given(instances(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_compile_time_projection_matches_project_circuit(inst, data):
+    q, db, order = inst.query, inst.db, inst.order
+    keep = data.draw(st.integers(0, len(order)), label="free prefix")
+    conj = SignedQuery(q.atoms, frozenset(order.vars[:keep]))
+    elimination = order.reversed()
+    for binarized in (False, True):
+        if binarized:
+            full, codec, full_stats = compile_binarized(q, db, elimination)
+            small, _, stats = compile_binarized(conj, db, elimination)
+            kept = keep * codec.bits
+        else:
+            full, full_stats = dpll_compile(q, db, elimination)
+            small, stats = dpll_compile(conj, db, elimination)
+            kept = keep
+        oracle = project_circuit(full, preprocess(full), kept)
+        assert small.universe == oracle.universe
+        assert validate_ordered(small, small.universe)
+        idx, oracle_idx = preprocess(small), preprocess(oracle)
+        total = count(oracle, oracle_idx)
+        assert count(small, idx) == total
+        got = [direct_access(small, idx, k) for k in range(1, total + 1)]
+        assert got == [direct_access(oracle, oracle_idx, k) for k in range(1, total + 1)]
+        assert circuit_size(small) <= circuit_size(oracle)
+        assert stats.rec_calls <= full_stats.rec_calls
+
+
+@pytest.mark.parametrize("binarize", [False, True])
+def test_da_conjunctive_preprocesses_a_projected_query_once(ex51, monkeypatch, binarize):
+    q, db, order = ex51
+    built = []
+    real = access.preprocess
+    monkeypatch.setattr(access, "preprocess", lambda c: built.append(c) or real(c))
+    engine = da_conjunctive(SignedQuery(q.atoms, frozenset({"x1", "x2"})), db, order, binarize=binarize)
+    assert engine.count() == 4
+    assert built == [engine.circuit]
+
+
+def test_dpll_compile_rejects_a_head_that_is_not_an_elimination_suffix(ex51):
+    q, db, order = ex51
+    elimination = order.reversed()  # x4, x3, x2, x1
+    for free in ({"x1", "x3"}, {"x4"}, {"x2"}):
+        conj = SignedQuery(q.atoms, frozenset(free))
+        with pytest.raises(NotFreeConnexError):
+            dpll_compile(conj, db, elimination)
+        with pytest.raises(NotFreeConnexError):
+            compile_binarized(conj, db, elimination)
+    suffix, _ = dpll_compile(SignedQuery(q.atoms, frozenset({"x1", "x2"})), db, elimination)
+    assert suffix.universe == VarOrder(("x1", "x2"))
 
 
 @given(instances(), st.data())
