@@ -14,8 +14,9 @@ keeps every variable.
 first listed variable is the most significant.  Engines reverse it
 internally where elimination order is needed.  Exit codes: 0 success,
 1 usage or parse failure, 2 out-of-range index, 3 exhausted search
-budget.  ``CQDA_BUDGET`` overrides the state cap of the exhaustive
-searches and of compilation.
+budget.  ``CQDA_BUDGET`` overrides the exhaustive-search state cap;
+when it is set, it also caps the calls of compilation, which are
+otherwise not capped.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ def database_from_dict(doc: dict) -> Database:
             raise DatabaseFormatError(f"relation {name} has invalid arity")
         if not isinstance(spec["tuples"], list):
             raise DatabaseFormatError(f"relation {name}: 'tuples' must be a list")
+        rows = set()
         for row in spec["tuples"]:
             if not isinstance(row, list) or len(row) != arity:
                 raise DatabaseFormatError(f"relation {name}: tuple width differs from arity")
@@ -75,10 +77,9 @@ def database_from_dict(doc: dict) -> Database:
             if not inside:
                 value = next(v for v in row if not isinstance(v, str) or v not in known)
                 raise DatabaseFormatError(f"relation {name}: value {value!r} outside the domain")
-        rows = frozenset(map(tuple, spec["tuples"]))  # duplicates collapse silently: relations are sets
-        # every row's width and values are checked above, so the constructors skip their checks
-        relations[name] = Relation(tuple(f"c{j}" for j in range(arity)), rows, check=False)
-    return Database(domain, relations, check=False)
+            rows.add(tuple(row))  # duplicates collapse silently: relations are sets
+        relations[name] = Relation(tuple(f"c{j}" for j in range(arity)), frozenset(rows))
+    return Database(domain, relations)
 
 
 def database_to_dict(db: Database) -> dict:
@@ -162,7 +163,7 @@ def resolve_order(q: SignedQuery, spec: str | None) -> VarOrder:
 
 
 def _build_engine(args, q: SignedQuery, db: Database, order: VarOrder):
-    budget = _budget()
+    budget = _compile_budget()
     if getattr(args, "engine", "circuit") == "reduction":
         if q.free is not None:
             raise CqdaError("the reduction engine answers join queries only")
@@ -181,6 +182,11 @@ def _budget() -> hg.Budget:
     if states < 1:
         raise CqdaError(f"CQDA_BUDGET must be a positive integer, got {cap!r}")
     return hg.Budget(states)
+
+
+def _compile_budget() -> hg.Budget | None:
+    """The ``CQDA_BUDGET`` cap on compile calls; without it compilation is not capped."""
+    return _budget() if os.environ.get("CQDA_BUDGET") else None
 
 
 def _assignment_json(t: Assignment) -> dict:
@@ -235,7 +241,7 @@ def cmd_compile(args) -> int:
     db = load_database(args.db)
     order = resolve_order(q, args.order)
     body = SignedQuery(q.atoms, None)
-    budget = _budget()
+    budget = _compile_budget()
     if args.no_binarize:
         circuit, stats = dpll_compile(body, db, order.reversed(), budget)
     else:

@@ -392,7 +392,7 @@ def binarize(
     for name, rel in db.relations.items():
         cols = tuple(f"c{j}" for j in range(len(rel.vars) * b))
         rows = frozenset(tuple(chain.from_iterable(map(codec.codes.__getitem__, row))) for row in rel.rows)
-        relations[name] = Relation(cols, rows, check=False)  # codes have b bits per source cell
+        relations[name] = Relation(cols, rows)
 
     bin_atoms = [
         Atom(a.positive, a.symbol, tuple(bit for v in a.args for bit in names[v]))
@@ -411,7 +411,7 @@ def binarize(
             relations[symbol] = Relation(bit_cols, frozenset(invalid))
             bin_atoms.append(Atom(False, symbol, names[var]))
 
-    bin_db = Database(BIN_DOMAIN, relations, check=False)  # every bit is "0" or "1"
+    bin_db = Database(BIN_DOMAIN, relations)
     bin_free = None if q.free is None else frozenset(bit for v in q.free for bit in names[v])
     bin_q = SignedQuery(tuple(bin_atoms), bin_free)
 

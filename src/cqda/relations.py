@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 from .errors import OutOfRangeError
 
@@ -127,22 +127,19 @@ class Relation:
     """Set of tuples over a fixed variable list.
 
     Rows are stored positionally, aligned with ``vars``.  Set semantics:
-    duplicates are impossible by construction.  ``check=False`` skips
-    the row width check, for callers that have checked every row.
+    duplicates are impossible by construction.
     """
 
     vars: tuple[str, ...]
     rows: frozenset[tuple[str, ...]]
     _tries: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool):
+    def __post_init__(self):
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("relation variables must be distinct")
-        if check:
-            for row in self.rows:
-                if len(row) != len(self.vars):
-                    raise ValueError("row width differs from variable list")
+        for row in self.rows:
+            if len(row) != len(self.vars):
+                raise ValueError("row width differs from variable list")
 
     @classmethod
     def from_rows(cls, vars: Iterable[str], rows: Iterable[Iterable[str]]) -> Relation:
@@ -200,19 +197,12 @@ class Relation:
 
 @dataclass(frozen=True, eq=False)
 class Database:
-    """Ordered domain plus named positional relations.
-
-    ``check=False`` skips the check that every value lies in the domain,
-    for callers that have checked every value.
-    """
+    """Ordered domain plus named positional relations."""
 
     domain: Domain
     relations: dict[str, Relation]
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool):
-        if not check:
-            return
+    def __post_init__(self):
         known = self.domain._pos.keys()
         for name, rel in self.relations.items():
             if not known >= set(itertools.chain.from_iterable(rel.rows)):

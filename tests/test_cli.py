@@ -248,6 +248,17 @@ def test_compile_budget_exhausted_exits_3(files, capsys, monkeypatch, command):
     assert run(capsys, command, db, query, *extra)[0] == 0
 
 
+@pytest.mark.parametrize("command", ["count", "compile", "project"])
+def test_compilation_is_not_capped_without_cqda_budget(files, capsys, monkeypatch, command):
+    from cqda import hypergraph
+
+    db, query = files
+    extra = ["--free", "x1,x2"] if command == "project" else []
+    monkeypatch.delenv("CQDA_BUDGET", raising=False)
+    monkeypatch.setattr(hypergraph, "DEFAULT_BUDGET", hypergraph.Budget(1))  # the search default does not reach compile
+    assert run(capsys, command, db, query, *extra)[0] == 0
+
+
 @pytest.mark.parametrize("value", [["0"], 0, None, {"a": "0"}])
 def test_rank_rejects_a_non_string_tuple_value(files, capsys, value):
     db, query = files
@@ -336,16 +347,13 @@ _QUERY_TEXT = st.one_of(
 _BUDGET = st.one_of(st.none(), st.sampled_from(["1", "3", "40", "1000"]), st.sampled_from(["0", "-2", "", "abc"]), _TEXT)
 
 
-@given(_DB_DOC, _argvs(), _QUERY_TEXT, _BUDGET)
-@settings(max_examples=200, deadline=None)
-def test_cli_never_raises_on_generated_input(doc, argv, query_text, budget):
+def _run_generated(doc, command, extra, query_text):
+    """Exit code and stderr of ``main`` on a generated database document and query text."""
     import contextlib
     import io
     import os
     import tempfile
-    from unittest import mock
 
-    command, extra = argv
     with tempfile.TemporaryDirectory() as tmp:
         db, query = os.path.join(tmp, "db.json"), os.path.join(tmp, "q.cq")
         with open(db, "w") as fh:
@@ -353,12 +361,32 @@ def test_cli_never_raises_on_generated_input(doc, argv, query_text, budget):
         with open(query, "w") as fh:
             fh.write(query_text)
         paths = [query, "--db", db] if command == "width" else [db, query]
-        with mock.patch.dict(os.environ):  # restores the environment on exit
-            os.environ.pop("CQDA_BUDGET", None)
-            if budget is not None:
-                os.environ["CQDA_BUDGET"] = budget
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-                code = main([command, *paths, *extra])
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, *paths, *extra])
+    return code, err.getvalue()
+
+
+@given(_DB_DOC, _argvs())
+@settings(max_examples=150, deadline=None)
+def test_cli_never_raises_on_generated_input(doc, argv):
+    command, extra = argv
+    code, err = _run_generated(doc, command, extra, EX51_QUERY)
+    assert code in (0, 1, 2, 3)
+    assert code == 0 or err.count("error:") == 1
+
+
+@given(_DB_DOC, _argvs(), _QUERY_TEXT, _BUDGET)
+@settings(max_examples=150, deadline=None)
+def test_cli_never_raises_on_generated_query_and_budget(doc, argv, query_text, budget):
+    import os
+    from unittest import mock
+
+    command, extra = argv
+    with mock.patch.dict(os.environ):  # restores the environment on exit
+        os.environ.pop("CQDA_BUDGET", None)
+        if budget is not None:
+            os.environ["CQDA_BUDGET"] = budget
+        code, err = _run_generated(doc, command, extra, query_text)
     event(f"exit {code}")
     assert code in (0, 1, 2, 3)
-    assert code == 0 or err.getvalue().count("error:") == 1
+    assert code == 0 or err.count("error:") == 1
