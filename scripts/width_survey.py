@@ -4,7 +4,10 @@
 Enumerates every hypergraph up to the given vertex and edge counts and
 tabulates how the hereditary hypertree width, the hereditary order
 width and the nest-set width relate, including how often the
-inequalities are strict.
+inequalities are strict.  It also finds the best ``how``, ``fhow`` and
+``bfhow`` orders, checks ``fhow <= how``, ``bfhow <= bhow`` and
+``fhow <= bfhow``, checks that ``width_of_order`` gives each best
+order's width back, and tabulates the fractional pair ``(fhow, bfhow)``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from cqda.hypergraph import (
     beta_elim_order,
     bhtw_bruteforce,
     nsw_bruteforce,
+    width_of_order,
 )
 
 
@@ -29,6 +33,7 @@ def main() -> None:
     args = parser.parse_args()
 
     triples: Counter = Counter()
+    fractional: Counter = Counter()
     strict = Counter()
     total = 0
     acyclic = 0
@@ -42,7 +47,12 @@ def main() -> None:
         for esize in range(args.max_edges + 1):
             for edges in itertools.combinations(nonempty, esize):
                 h = Hypergraph(frozenset(verts), tuple(edges))
-                _, bhow, _ = best_order(h, "bhow")
+                best = {kind: best_order(h, kind) for kind in ("how", "fhow", "bhow", "bfhow")}
+                for kind, (order, width, _) in best.items():
+                    assert width_of_order(h, kind, order) == width, (edges, kind)
+                how, fhow, bhow, bfhow = (best[kind][1] for kind in ("how", "fhow", "bhow", "bfhow"))
+                assert fhow <= how and bfhow <= bhow and fhow <= bfhow, edges
+                fractional[(fhow, bfhow)] += 1
                 bhtw = bhtw_bruteforce(h)
                 nsw = nsw_bruteforce(h)
                 assert bhtw <= bhow <= nsw
@@ -59,6 +69,9 @@ def main() -> None:
     print("\n(bhtw, bhow, nsw) histogram:")
     for triple, count in sorted(triples.items()):
         print(f"  {triple}: {count}")
+    print("\n(fhow, bfhow) histogram:")
+    for (fhow, bfhow), count in sorted(fractional.items()):
+        print(f"  ({fhow}, {bfhow}): {count}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Hypergraphs, elimination orders, cover numbers and width measures.
 
 Width values are exact: integer cover numbers come from a complete
-branch-and-bound search and fractional ones from a rational simplex.
-No floating point is involved anywhere.
+branch-and-bound search and fractional ones from a simplex that pivots
+on integers and builds one ``Fraction`` at the optimum.  No floating
+point is involved anywhere.
 
 Vertex elimination ``H/v`` removes ``v`` from every edge and adds the
 open neighbourhood of ``v`` as a fresh edge.  The width of an order is
@@ -14,7 +15,8 @@ tuple, and a ``_FamilyTable`` holds one edge family's elimination steps
 and cover numbers as bitmasks.  Every cover number, width and optimal
 order is read from such tables.  ``best_order`` shares them across
 calls through a module-wide memo; ``width_of_order`` builds its own for
-each call.  The set-based definition is kept in the tests, as the
+each call.  Within one call, the tables share one cover number per
+covering family.  The set-based definition is kept in the tests, as the
 reference this core is checked against.
 """
 
@@ -79,42 +81,53 @@ class SignedHypergraph:
         return Hypergraph(self.vertices, self.pos_edges + self.neg_edges)
 
 
-def _simplex_max(constraints: list[list[Fraction]], rhs: list[Fraction], objective: list[Fraction]) -> Fraction:
-    """Maximise ``objective . y`` subject to ``constraints . y <= rhs``, y >= 0.
+def _packing_max(rows: Sequence[int], n: int) -> Fraction:
+    """Maximise ``y_0 + ... + y_{n-1}`` subject to ``sum(y_i for i in row) <= 1``, y >= 0.
 
-    Standard tableau simplex over exact rationals with Bland's rule, so
-    termination is guaranteed.  The slack basis must be feasible, which
-    holds here because every right-hand side is 1.
+    ``rows`` are bitmasks over the ``n`` variables, each of which must
+    lie in some row.  Tableau simplex with Bland's rule, so termination
+    is guaranteed, on integers: the tableau is kept as integers over one
+    common denominator ``d``, the previous pivot, which is the current
+    basis determinant.  Each update ``(x*p - f*y) // d`` therefore
+    divides exactly (Bareiss), and one ``Fraction`` is built at the
+    optimum.  The slack basis is feasible because every right-hand side
+    is 1.
     """
-    m, n = len(constraints), len(objective)
+    m = len(rows)
     # tableau rows: [A | I | b]; the cost row tracks reduced costs and,
-    # in its last entry, the current objective value
-    tab = [constraints[i][:] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]] for i in range(m)]
-    cost = [-c for c in objective] + [Fraction(0)] * (m + 1)
-    basis = [n + i for i in range(m)]
+    # in its last entry, the current objective value, all times d
+    tab = [[r >> j & 1 for j in range(n)] + [int(i == k) for k in range(m)] + [1] for i, r in enumerate(rows)]
+    cost = [-1] * n + [0] * (m + 1)
+    basis = list(range(n, n + m))
+    d = 1
     while True:
         # Bland's rule: smallest improving column, smallest basic row on ties
         col = next((j for j in range(n + m) if cost[j] < 0), None)
         if col is None:
-            return cost[-1]
-        row, best = None, None
+            return Fraction(cost[-1], d)
+        row = None
         for i in range(m):
-            if tab[i][col] > 0:
-                ratio = tab[i][-1] / tab[i][col]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
-                    row, best = i, ratio
+            a = tab[i][col]
+            if a > 0:
+                if row is None:
+                    row = i
+                    continue
+                # compare the ratios b_i / a and b_row / a_row without dividing
+                lhs, rhs = tab[i][-1] * tab[row][col], tab[row][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
+                    row = i
         if row is None:
             raise UncoverableError("unbounded covering dual")
-        piv = tab[row][col]
-        tab[row] = [x / piv for x in tab[row]]
+        prow = tab[row]
+        p = prow[col]
         for i in range(m):
-            if i != row and tab[i][col]:
+            if i != row:
                 f = tab[i][col]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
-        if cost[col]:
-            f = cost[col]
-            cost = [a - f * b for a, b in zip(cost, tab[row])]
+                tab[i] = [(x * p - f * y) // d for x, y in zip(tab[i], prow)]
+        f = cost[col]
+        cost = [(x * p - f * y) // d for x, y in zip(cost, prow)]
         basis[row] = col
+        d = p
 
 
 # --- the bitmask core -------------------------------------------------------
@@ -161,37 +174,47 @@ class _FamilyTable:
             self._after[removed] = got
         return got
 
-    def neighbourhood(self, removed: int, vbit: int) -> int:
-        nb = 0
-        for e in self.edges_after(removed):
-            if e & vbit:
-                nb |= e
-        return nb
+    def _covering(self, need: int) -> tuple[int, ...]:
+        """The covering family of ``need``: the edges' distinct nonempty parts inside it.
 
-    def _covering(self, need: int) -> list[int]:
-        """The edges' nonempty parts inside ``need``; raises unless they cover it."""
-        family = []
+        Raises unless their union is ``need``.
+        """
+        family: dict[int, None] = {}
         covered = 0
         for e in self.edges:
             r = e & need
             if r:
-                family.append(r)
+                family[r] = None
                 covered |= r
-        if covered & need != need:
+        if covered != need:
             raise UncoverableError("vertex set not covered by any edge")
-        return family
+        return tuple(family)
 
-    def cn(self, need: int) -> int:
-        got = self._cn.get(need)
+    def _solve(self, need: int, covers: dict | None, solve):
+        """``covers[family]``, else ``solve(need, family)``, for a memo miss on ``need``.
+
+        A cover number depends on the covering family alone, so tables
+        over one vertex set may share ``covers``; it is read only when a
+        table's own memo misses.
+        """
+        family = self._covering(need)
+        if covers is None:
+            return solve(need, family)
+        key = frozenset(family)
+        got = covers.get(key)
         if got is None:
-            got = self._cn_search(need)
-            self._cn[need] = got
+            got = covers[key] = solve(need, family)
         return got
 
-    def _cn_search(self, need: int) -> int:
+    def cn(self, need: int, covers: dict | None = None) -> int:
+        got = self._cn.get(need)
+        if got is None:
+            got = self._cn[need] = self._solve(need, covers, self._cn_search)
+        return got
+
+    def _cn_search(self, need: int, family: tuple[int, ...]) -> int:
         if need == 0:
             return 0
-        family = list(dict.fromkeys(self._covering(need)))
         best = len(family)
         states = 0
 
@@ -213,7 +236,7 @@ class _FamilyTable:
         search(need, 0)
         return best
 
-    def fcn(self, need: int) -> Fraction:
+    def fcn(self, need: int, covers: dict | None = None) -> Fraction:
         """Exact optimum of the fractional covering program for ``need``.
 
         Solved through the packing dual (one variable per vertex of
@@ -222,19 +245,23 @@ class _FamilyTable:
         """
         got = self._fcn.get(need)
         if got is None:
-            family = self._covering(need)
-            members = [i for i in range(self.n) if need >> i & 1]
-            if not members:
-                got = Fraction(0)
-            else:
-                rows = [[Fraction(int(e >> i & 1)) for i in members] for e in family]
-                got = _simplex_max(rows, [Fraction(1)] * len(family), [Fraction(1)] * len(members))
-            self._fcn[need] = got
+            got = self._fcn[need] = self._solve(need, covers, self._fcn_solve)
         return got
 
-    def cost(self, removed: int, vbit: int, fractional: bool):
-        nb = self.neighbourhood(removed, vbit)
-        return self.fcn(nb) if fractional else self.cn(nb)
+    def _fcn_solve(self, need: int, family: tuple[int, ...]) -> Fraction:
+        members = [i for i in range(self.n) if need >> i & 1]
+        if not members:
+            return Fraction(0)
+        rows = [sum((e >> v & 1) << j for j, v in enumerate(members)) for e in family]
+        return _packing_max(rows, len(members))
+
+    def cost(self, removed: int, vbit: int, fractional: bool, covers: dict | None = None):
+        """Cover number of ``vbit``'s neighbourhood once ``removed`` is gone."""
+        nb = 0
+        for e in self.edges_after(removed):
+            if e & vbit:
+                nb |= e
+        return self.fcn(nb, covers) if fractional else self.cn(nb, covers)
 
 
 _FAMILY_TABLES: dict[tuple, _FamilyTable] = {}
@@ -285,28 +312,26 @@ def fractional_cover_number(
 _KIND_FRACTIONAL = {"how": False, "fhow": True, "show": False, "sfhow": True, "bhow": False, "bfhow": True}
 
 
-def _subsets(edges: tuple[frozenset[str], ...], budget: Budget, what: str) -> Iterable[tuple[frozenset[str], ...]]:
-    if 2 ** len(edges) > budget.max_states:
-        raise BudgetExceededError(f"2^{len(edges)} {what} exceed the budget")
+def _subsets(edges: tuple[frozenset[str], ...]) -> Iterable[tuple[frozenset[str], ...]]:
     for r in range(len(edges) + 1):
         yield from itertools.combinations(edges, r)
 
 
-def _families(h: Hypergraph | SignedHypergraph, kind: str, budget: Budget) -> Iterable[tuple[frozenset[str], ...]]:
-    """The edge families a width measure maximises over.
+def _families(h: Hypergraph | SignedHypergraph, kind: str) -> tuple[tuple[frozenset[str], ...], tuple[frozenset[str], ...]]:
+    """The edge families a width measure maximises over, as ``(fixed, optional)``.
 
-    ``show``/``sfhow``: every positive edge plus any subset of the
-    negative ones; ``bhow``/``bfhow``: every edge subset; ``how``/``fhow``:
-    the edges themselves.
+    Each family is the fixed edges plus a subset of the optional ones.
+    ``show``/``sfhow``: the positive edges are fixed and the negative
+    ones optional; ``bhow``/``bfhow``: every edge is optional;
+    ``how``/``fhow``: every edge is fixed.
     """
     if kind in ("show", "sfhow"):
-        pos, neg = (h.pos_edges, h.neg_edges) if isinstance(h, SignedHypergraph) else (h.edges, ())
-        return (pos + chosen for chosen in _subsets(neg, budget, "negative subhypergraphs"))
+        return (h.pos_edges, h.neg_edges) if isinstance(h, SignedHypergraph) else (h.edges, ())
     plain = h.unsigned() if isinstance(h, SignedHypergraph) else h
     if kind in ("bhow", "bfhow"):
-        return _subsets(plain.edges, budget, "subhypergraphs")
+        return (), plain.edges
     if kind in ("how", "fhow"):
-        return [plain.edges]
+        return plain.edges, ()
     raise ValueError(f"unknown width measure {kind!r}")
 
 
@@ -314,24 +339,40 @@ class _OrderCost:
     """Step cost ``(removed_set, next_vertex) -> cover number`` for one width kind.
 
     The cost is the worst over the measure's family tables; ``table``
-    makes each one, memoised or fresh.
+    makes each one, memoised or fresh.  The caller names how many steps
+    it will ask for, and families x steps is charged against the budget
+    before any table is built.  The tables share ``covers``, a cover
+    number per covering family, for the life of this object.
     """
 
-    def __init__(self, h: Hypergraph | SignedHypergraph, kind: str, budget: Budget, table):
-        families = _families(h, kind, budget)
+    def __init__(self, h: Hypergraph | SignedHypergraph, kind: str, budget: Budget, table, steps: int):
+        fixed, optional = _families(h, kind)
+        # a call with no steps still builds every family's table
+        if (1 << len(optional)) * max(steps, 1) > budget.max_states:
+            raise BudgetExceededError(
+                f"2^{len(optional)} edge families x {steps} cover steps exceed the budget of {budget.max_states} states"
+            )
         self.vertices = tuple(sorted(h.vertices))
         self.fractional = _KIND_FRACTIONAL[kind]
         index = {v: i for i, v in enumerate(self.vertices)}
-        masks = dict.fromkeys(tuple(sorted({_mask(index, e) for e in fam})) for fam in families)
+        # equal families collapse as they are built, so memory follows the distinct ones
+        families = {frozenset(_mask(index, e) for e in fixed)}
+        for e in optional:
+            m = _mask(index, e)
+            families |= {f | {m} for f in families}
+        masks = [tuple(sorted(f)) for f in families]
         self.tables = [table(len(self.vertices), edges, budget) for edges in masks]
+        # one table never meets a family twice: its own memo, by need, answers first
+        self.covers: dict[frozenset[int], object] | None = {} if len(self.tables) > 1 else None
 
     def key(self) -> tuple:
         return (self.vertices, self.fractional, tuple(sorted(t.edges for t in self.tables)))
 
     def cost(self, removed: int, vbit: int):
+        fractional, covers = self.fractional, self.covers
         worst = None
         for table in self.tables:
-            c = table.cost(removed, vbit, self.fractional)
+            c = table.cost(removed, vbit, fractional, covers)
             if worst is None or c > worst:
                 worst = c
         return worst
@@ -345,10 +386,12 @@ def width_of_order(h: Hypergraph | SignedHypergraph, kind: str, order: Eliminati
     Vertices of ``h`` missing from ``order`` are never removed; a vertex
     outside ``h``, or repeated, raises ``VertexNotFoundError``.
     """
-    # Tables are built for this call alone.  Sharing best_order's
-    # _FAMILY_TABLES memo here is a later perf change: it waits for the
-    # ROADMAP benchmark item, which times each request kind on its own.
-    model = _OrderCost(h, kind, budget, _FamilyTable)
+    # Within this call the fresh tables share one cover per covering
+    # family (model.covers); nothing outlives the call.  Sharing
+    # best_order's _FAMILY_TABLES memo across calls is a later perf
+    # change: it waits for the ROADMAP benchmark item, which times each
+    # request kind on its own.
+    model = _OrderCost(h, kind, budget, _FamilyTable, len(order))
     index = {v: i for i, v in enumerate(model.vertices)}
     width = Fraction(0) if model.fractional else 0
     removed = 0
@@ -406,13 +449,15 @@ def best_order(
     greedy order whose width is still reported faithfully, flagged as an
     upper bound.
     """
-    model = _OrderCost(h, kind, budget, _family_table)
+    n = len(h.vertices)
+    exact = n <= EXACT_SEARCH_MAX_VERTICES
+    # cost calls: one per (removed set, vertex in it) for the DP, n..1 per greedy round
+    model = _OrderCost(h, kind, budget, _family_table, (n << n) >> 1 if exact else n * (n + 1) // 2)
     verts = model.vertices
     zero = Fraction(0) if model.fractional else 0
-    n = len(verts)
     if n == 0:
         return VarOrder(()), zero, True
-    if n <= EXACT_SEARCH_MAX_VERTICES:
+    if exact:
         memo_key = model.key()
         hit = _BEST_ORDER_MEMO.get(memo_key)
         if hit is not None:
@@ -458,8 +503,10 @@ def bhtw_bruteforce(h: Hypergraph, budget: Budget = DEFAULT_BUDGET) -> int:
     """Hereditary hypertree width: worst, over edge subsets, of the best order."""
     if len(h.vertices) > 8 or len(h.edges) > 6:
         raise BudgetExceededError("bhtw search is limited to 8 vertices and 6 edges")
+    if 2 ** len(h.edges) > budget.max_states:
+        raise BudgetExceededError(f"2^{len(h.edges)} subhypergraphs exceed the budget")
     worst = 0
-    for edges in _subsets(h.edges, budget, "subhypergraphs"):
+    for edges in _subsets(h.edges):
         _, width, exact = best_order(Hypergraph(h.vertices, edges), "how", budget)
         assert exact
         worst = max(worst, width)

@@ -235,6 +235,20 @@ def test_non_numeric_budget_is_a_usage_error(files, capsys, monkeypatch):
     assert "CQDA_BUDGET" in err and len(err.strip().splitlines()) == 1
 
 
+def test_width_over_too_many_families_exits_3(capsys, tmp_path):
+    # 20 edges: bfhow maximises over 2^20 edge subsets, each costing a cover per step
+    star = tmp_path / "star.cq"
+    atoms = [f"R{i}(a,b{i})" for i in range(10)] + [f"!N{i}(b{i})" for i in range(10)]
+    star.write_text(f"Q(*) :- {', '.join(atoms)}.\n")
+    for extra in ([], ["--order", "a,b0,b1,b2,b3,b4,b5,b6,b7,b8,b9"]):
+        code, out, err = run(capsys, "width", str(star), "--measure", "bfhow", *extra)
+        assert code == 3 and out == ""
+        assert err.startswith("error: 2^20 edge families") and len(err.strip().splitlines()) == 1
+    # sfhow keeps the positive edges: 2^10 families stay under the budget
+    code, out, _ = run(capsys, "width", str(star), "--measure", "sfhow")
+    assert code == 0 and json.loads(out)["width"] == 1
+
+
 @pytest.mark.parametrize("command", ["count", "compile", "project"])
 def test_compile_budget_exhausted_exits_3(files, capsys, monkeypatch, command):
     db, query = files

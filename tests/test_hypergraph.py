@@ -31,7 +31,7 @@ from cqda.hypergraph import (
     sfhow_width,
     width_of_order,
 )
-from cqda.query import eval_bruteforce, hypergraph_of
+from cqda.query import eval_bruteforce, hypergraph_of, parse_query
 from cqda.relations import VarOrder
 
 TRIANGLE = Hypergraph.of("abc", [{"a", "b"}, {"b", "c"}, {"a", "c"}])
@@ -326,6 +326,34 @@ def test_width_of_order_matches_set_based_walk(case):
         assert width_of_order(signed, kind, order) == oracle.width_of_order(signed, kind, order), kind
 
 
+@st.composite
+def packing_systems(draw):
+    """0/1 rows over ``n`` variables, every variable in some row, with copies and parts of rows."""
+    n = draw(st.integers(1, 6))
+    full = (1 << n) - 1
+    rows = draw(st.lists(st.integers(1, full), min_size=1, max_size=8))
+    # copies of drawn rows (when r & part is r or empty) and rows they dominate (a proper part)
+    for _ in range(draw(st.integers(0, 8 - len(rows)))):
+        r, part = draw(st.sampled_from(rows)), draw(st.integers(0, full))
+        rows.append(r & part or r)
+    covered = 0
+    for r in rows:
+        covered |= r
+    rows[-1] |= full & ~covered
+    return draw(st.permutations(rows)), n
+
+
+@given(packing_systems())
+@settings(max_examples=300, deadline=None)
+def test_packing_max_matches_fraction_simplex(system):
+    # every right-hand side is 1, so every first ratio test is a tie
+    rows, n = system
+    dense = [[Fraction(r >> j & 1) for j in range(n)] for r in rows]
+    expected = oracle.simplex_max(dense, [Fraction(1)] * len(rows), [Fraction(1)] * n)
+    got = hypergraph._packing_max(rows, n)
+    assert type(got) is Fraction and got == expected
+
+
 @given(hypergraphs(max_vertices=5, max_edges=4), st.data())
 @settings(max_examples=60, deadline=None)
 def test_cover_numbers_match_set_based_search(h, data):
@@ -352,13 +380,38 @@ def test_width_of_order_rejects_foreign_and_repeated_vertices():
         how_width(TRIANGLE, VarOrder(("z",)))
 
 
-def test_width_of_order_builds_its_own_tables():
+def _module_memos() -> dict[str, int]:
+    return {name: len(v) for name, v in vars(hypergraph).items() if isinstance(v, (dict, list, set))}
+
+
+def test_width_of_order_builds_its_own_tables(monkeypatch):
     h = hypergraph_of(example51_query())
     best_order(h, "show")
     before = dict(hypergraph._FAMILY_TABLES)
     for kind in ("how", "fhow", "show", "sfhow", "bhow", "bfhow"):
         width_of_order(h, kind, VarOrder(tuple(sorted(h.vertices))))
     assert hypergraph._FAMILY_TABLES == before
+
+    # the star of the serve benchmark: within one call, one LP per covering
+    # family (the distinct nonempty parts e & need), and nothing kept after it
+    serve = hypergraph_of(parse_query("Q(*) :- C(x), R1(x,y1), R2(x,y2), R3(x,y3), !N1(y1), !N2(y2)."))
+    order, width, _ = best_order(serve, "bfhow")
+    families = set()
+    for g in oracle.family(serve, "bfhow"):
+        for nb in oracle.step_sets(g, list(order)):
+            if nb:
+                families.add(frozenset(e & nb for e in g.edges if e & nb))
+    calls = []
+    solve = hypergraph._packing_max
+    monkeypatch.setattr(hypergraph, "_packing_max", lambda rows, n: calls.append(rows) or solve(rows, n))
+    before, memos = dict(hypergraph._FAMILY_TABLES), _module_memos()
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert width_of_order(serve, "bfhow", order) == width
+        counts.append(len(calls))
+    assert 0 < counts[0] <= len(families) and counts[1] == counts[0]
+    assert hypergraph._FAMILY_TABLES == before and _module_memos() == memos
 
 
 @given(instances(max_vars=4, max_atoms=3, max_dom=3))

@@ -12,7 +12,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from cqda.errors import BudgetExceededError, UncoverableError, VertexNotFoundError
-from cqda.hypergraph import DEFAULT_BUDGET, Budget, Hypergraph, SignedHypergraph, _simplex_max
+from cqda.hypergraph import DEFAULT_BUDGET, Budget, Hypergraph, SignedHypergraph
 
 
 def neighbourhood(h: Hypergraph, v: str) -> frozenset[str]:
@@ -85,6 +85,44 @@ def cover_number(s: Iterable[str], edges: Sequence[frozenset[str]], budget: Budg
     return best
 
 
+def simplex_max(constraints: list[list[Fraction]], rhs: list[Fraction], objective: list[Fraction]) -> Fraction:
+    """Maximise ``objective . y`` subject to ``constraints . y <= rhs``, y >= 0.
+
+    Standard tableau simplex over ``Fraction`` entries with Bland's rule,
+    so termination is guaranteed.  The slack basis must be feasible,
+    which holds when every right-hand side is nonnegative.
+    """
+    m, n = len(constraints), len(objective)
+    # tableau rows: [A | I | b]; the cost row tracks reduced costs and,
+    # in its last entry, the current objective value
+    tab = [constraints[i][:] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]] for i in range(m)]
+    cost = [-c for c in objective] + [Fraction(0)] * (m + 1)
+    basis = [n + i for i in range(m)]
+    while True:
+        # Bland's rule: smallest improving column, smallest basic row on ties
+        col = next((j for j in range(n + m) if cost[j] < 0), None)
+        if col is None:
+            return cost[-1]
+        row, best = None, None
+        for i in range(m):
+            if tab[i][col] > 0:
+                ratio = tab[i][-1] / tab[i][col]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
+                    row, best = i, ratio
+        if row is None:
+            raise UncoverableError("unbounded covering dual")
+        piv = tab[row][col]
+        tab[row] = [x / piv for x in tab[row]]
+        for i in range(m):
+            if i != row and tab[i][col]:
+                f = tab[i][col]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
+        if cost[col]:
+            f = cost[col]
+            cost = [a - f * b for a, b in zip(cost, tab[row])]
+        basis[row] = col
+
+
 def fractional_cover_number(s: Iterable[str], edges: Sequence[frozenset[str]]) -> Fraction:
     """Optimum of the packing dual: one variable per vertex of ``s``, one row per edge."""
     need, family = _covering(s, edges)
@@ -92,7 +130,7 @@ def fractional_cover_number(s: Iterable[str], edges: Sequence[frozenset[str]]) -
         return Fraction(0)
     members = sorted(need)
     rows = [[Fraction(int(v in e)) for v in members] for e in family]
-    return _simplex_max(rows, [Fraction(1)] * len(family), [Fraction(1)] * len(members))
+    return simplex_max(rows, [Fraction(1)] * len(family), [Fraction(1)] * len(members))
 
 
 def step_sets(h: Hypergraph, order: Sequence[str]) -> Iterable[frozenset[str]]:
