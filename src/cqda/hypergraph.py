@@ -11,13 +11,13 @@ the worst cover number, over all elimination steps, of the removed
 vertex's neighbourhood, covered with the hypergraph's original edges.
 
 There is one width core.  Vertices are the bits of a sorted vertex
-tuple, and a ``_FamilyTable`` holds one edge family's elimination steps
-and cover numbers as bitmasks.  Every cover number, width and optimal
-order is read from such tables.  ``best_order`` shares them across
-calls through a module-wide memo; ``width_of_order`` builds its own for
-each call.  Within one call, the tables share one cover number per
-covering family.  The set-based definition is kept in the tests, as the
-reference this core is checked against.
+tuple, and every edge family a measure maximises over walks the same
+hash-consed elimination states: equal states are one object, so each
+step is costed once per distinct state.  ``best_order`` keeps its
+states in the module pool ``_STATES``, ``width_of_order`` in a pool of
+its own per call.  Every cover number goes through one path that first
+reduces the covering family to its kernel.  The set-based definitions
+are kept in the tests, as the reference this core is checked against.
 """
 
 from __future__ import annotations
@@ -130,153 +130,101 @@ def _packing_max(rows: Sequence[int], n: int) -> Fraction:
         d = p
 
 
-# --- the bitmask core -------------------------------------------------------
-#
-# Removing a vertex set yields the same neighbourhoods whatever the
-# removal order, so elimination state is keyed by the removed set alone;
-# the order DP below relies on that, and the tests check it against the
-# set-based walk over every permutation.
+# --- covers ---------------------------------------------------------------
 
 
-class _FamilyTable:
-    """Elimination neighbourhoods and cover costs for one edge family."""
+def _maximal(edges: Iterable[int]) -> list[int]:
+    """The distinct nonempty edges that lie inside no other edge."""
+    kept: list[int] = []
+    for e in sorted(set(edges) - {0}, key=int.bit_count, reverse=True):
+        for f in kept:
+            if not e & ~f:
+                break
+        else:
+            kept.append(e)
+    return kept
 
-    def __init__(self, n: int, edges: tuple[int, ...], budget: Budget):
-        self.n = n
-        self.budget = budget
-        deduped: list[int] = []
-        for e in edges:
-            if e and e not in deduped:
-                deduped.append(e)
-        self.edges = tuple(deduped)
-        self._after: dict[int, tuple[int, ...]] = {0: self.edges}
-        self._cn: dict[int, int] = {}
-        self._fcn: dict[int, Fraction] = {}
 
-    def edges_after(self, removed: int) -> tuple[int, ...]:
-        got = self._after.get(removed)
-        if got is None:
-            vbit = 1 << (removed.bit_length() - 1)
-            prev = self.edges_after(removed ^ vbit)
-            nb = 0
-            for e in prev:
-                if e & vbit:
-                    nb |= e
-            nb &= ~vbit
-            out: list[int] = []
-            for e in prev:
-                e2 = e & ~vbit
-                if e2 and e2 not in out:
-                    out.append(e2)
-            if nb and nb not in out:
-                out.append(nb)
-            got = tuple(out)
-            self._after[removed] = got
-        return got
+def _kernel(parts: Iterable[int]) -> tuple[int, tuple[int, ...], int]:
+    """``(forced, kernel, union)``: the cover number is ``forced`` plus the kernel's.
 
-    def _covering(self, need: int) -> tuple[int, ...]:
-        """The covering family of ``need``: the edges' distinct nonempty parts inside it.
+    Two reductions, repeated until neither applies; both keep integral
+    and fractional cover numbers (Weihe, ALEX 1998).  A part inside
+    another part is dropped: a cover can use the larger one instead.  A
+    part that alone covers some vertex is in every cover, at weight 1 in
+    some optimal fractional one; it is taken and its vertices removed.
+    """
+    forced = 0
+    while True:
+        kept = _maximal(parts)
+        once = twice = 0
+        for p in kept:
+            twice |= once & p
+            once |= p
+        alone = once & ~twice
+        if not alone:
+            return forced, tuple(kept), once
+        taken = 0
+        for p in kept:
+            if p & alone:
+                taken |= p
+                forced += 1
+        parts = {p & ~taken for p in kept} - {0}
 
-        Raises unless their union is ``need``.
-        """
-        family: dict[int, None] = {}
-        covered = 0
-        for e in self.edges:
-            r = e & need
-            if r:
-                family[r] = None
-                covered |= r
-        if covered != need:
-            raise UncoverableError("vertex set not covered by any edge")
-        return tuple(family)
 
-    def _solve(self, need: int, covers: dict | None, solve):
-        """``covers[family]``, else ``solve(need, family)``, for a memo miss on ``need``.
-
-        A cover number depends on the covering family alone, so tables
-        over one vertex set may share ``covers``; it is read only when a
-        table's own memo misses.
-        """
-        family = self._covering(need)
-        if covers is None:
-            return solve(need, family)
-        key = frozenset(family)
-        got = covers.get(key)
-        if got is None:
-            got = covers[key] = solve(need, family)
-        return got
-
-    def cn(self, need: int, covers: dict | None = None) -> int:
-        got = self._cn.get(need)
-        if got is None:
-            got = self._cn[need] = self._solve(need, covers, self._cn_search)
-        return got
-
-    def _cn_search(self, need: int, family: tuple[int, ...]) -> int:
-        if need == 0:
-            return 0
-        best = len(family)
-        states = 0
-
-        def search(uncovered: int, used: int) -> None:
-            nonlocal best, states
-            states += 1
-            if states > self.budget.max_states:
-                raise BudgetExceededError("cover search exceeded the state budget")
-            if used >= best:
-                return
-            if not uncovered:
+def _cn_search(parts: tuple[int, ...], need: int, budget: Budget) -> int:
+    """Minimum number of ``parts`` whose union is ``need``: depth-first branch and bound."""
+    best = len(parts)
+    states = 0
+    stack = [(need, 0)]
+    while stack:
+        uncovered, used = stack.pop()
+        states += 1
+        if states > budget.max_states:
+            raise BudgetExceededError("cover search exceeded the state budget")
+        if not uncovered:
+            if used < best:
                 best = used
-                return
+        elif used + 1 < best:
+            # every cover uses some part holding the lowest uncovered vertex
             pivot = uncovered & -uncovered
-            for e in family:
-                if e & pivot:
-                    search(uncovered & ~e, used + 1)
-
-        search(need, 0)
-        return best
-
-    def fcn(self, need: int, covers: dict | None = None) -> Fraction:
-        """Exact optimum of the fractional covering program for ``need``.
-
-        Solved through the packing dual (one variable per vertex of
-        ``need``, one constraint per edge), whose slack basis is
-        immediately feasible; strong duality gives the covering optimum.
-        """
-        got = self._fcn.get(need)
-        if got is None:
-            got = self._fcn[need] = self._solve(need, covers, self._fcn_solve)
-        return got
-
-    def _fcn_solve(self, need: int, family: tuple[int, ...]) -> Fraction:
-        members = [i for i in range(self.n) if need >> i & 1]
-        if not members:
-            return Fraction(0)
-        rows = [sum((e >> v & 1) << j for j, v in enumerate(members)) for e in family]
-        return _packing_max(rows, len(members))
-
-    def cost(self, removed: int, vbit: int, fractional: bool, covers: dict | None = None):
-        """Cover number of ``vbit``'s neighbourhood once ``removed`` is gone."""
-        nb = 0
-        for e in self.edges_after(removed):
-            if e & vbit:
-                nb |= e
-        return self.fcn(nb, covers) if fractional else self.cn(nb, covers)
+            used += 1
+            for p in parts:
+                if p & pivot:
+                    stack.append((uncovered & ~p, used))
+    return best
 
 
-_FAMILY_TABLES: dict[tuple, _FamilyTable] = {}
+def _cover(need: int, edges: Iterable[int], fractional: bool, budget: Budget, covers: dict):
+    """Integral or fractional cover number of ``need`` by ``edges``; raises unless they cover it.
 
-
-def _family_table(n: int, edges: tuple[int, ...], budget: Budget) -> _FamilyTable:
-    """The memoised table of one family; order searches revisit families heavily."""
-    key = (n, edges, budget.max_states)
-    got = _FAMILY_TABLES.get(key)
+    The covering family, the distinct nonempty parts ``e & need``, is
+    reduced to its kernel first.  ``covers`` maps kernels to their cover
+    numbers, so a caller that keeps it solves each kernel once.  The
+    packing dual, a variable per vertex and a row per part, gives the
+    fractional one."""
+    parts = set()
+    covered = 0
+    for e in edges:
+        r = e & need
+        if r:
+            parts.add(r)
+            covered |= r
+    if covered != need:
+        raise UncoverableError("vertex set not covered by any edge")
+    forced, kernel, rest = (1, (), 0) if need in parts else _kernel(parts)
+    if not kernel:
+        return Fraction(forced) if fractional else forced
+    key = frozenset(kernel)
+    got = covers.get(key)
     if got is None:
-        if len(_FAMILY_TABLES) > 1 << 18:
-            _FAMILY_TABLES.clear()
-        got = _FamilyTable(n, edges, budget)
-        _FAMILY_TABLES[key] = got
-    return got
+        if fractional:
+            members = [i for i in range(rest.bit_length()) if rest >> i & 1]
+            rows = [sum((p >> v & 1) << j for j, v in enumerate(members)) for p in kernel]
+            got = covers[key] = _packing_max(rows, len(members))
+        else:
+            got = covers[key] = _cn_search(kernel, rest, budget)
+    return forced + got
 
 
 def _mask(index: dict[str, int], vs: Iterable[str]) -> int:
@@ -286,121 +234,191 @@ def _mask(index: dict[str, int], vs: Iterable[str]) -> int:
     return m
 
 
-def _cover_table(s: Iterable[str], edges: Sequence[Iterable[str]], budget: Budget) -> tuple[_FamilyTable, int]:
+def _cover_masks(s: Iterable[str], edges: Sequence[Iterable[str]]) -> tuple[int, list[int]]:
     need = frozenset(s)
     edges = [frozenset(e) for e in edges]
     index = {v: i for i, v in enumerate(sorted(need.union(*edges)))}
-    return _FamilyTable(len(index), tuple(_mask(index, e) for e in edges), budget), _mask(index, need)
+    return _mask(index, need), [_mask(index, e) for e in edges]
 
 
 def cover_number(s: Iterable[str], edges: Sequence[frozenset[str]], budget: Budget = DEFAULT_BUDGET) -> int:
     """Minimum number of edges whose union contains ``s`` (exact)."""
-    table, need = _cover_table(s, edges, budget)
-    return table.cn(need)
+    need, masks = _cover_masks(s, edges)
+    return _cover(need, masks, False, budget, {})
 
 
 def fractional_cover_number(
     s: Iterable[str], edges: Sequence[frozenset[str]], budget: Budget = DEFAULT_BUDGET
 ) -> Fraction:
     """Exact optimum of the fractional covering program for ``s``."""
-    table, need = _cover_table(s, edges, budget)
-    return table.fcn(need)
+    need, masks = _cover_masks(s, edges)
+    return _cover(need, masks, True, budget, {})
+
+
+# --- hash-consed elimination states ------------------------------------------
+#
+# Vertices are the bits of a sorted vertex tuple.  A state is what every
+# later step of an elimination reads: the edges after the removals so
+# far, and the original edges cut to the remaining vertices.  Both are
+# kept as antichains (an edge inside another changes no neighbourhood,
+# and no cover number), so equal states are one object in a pool and
+# each step is costed once per distinct state, however many edge
+# families reach it.  Removing a vertex set yields the same states
+# whatever the removal order; the order DP relies on that, and the tests
+# check it, and every width against the set-based walk.
+
+
+def _with(chain: frozenset[int], e: int) -> frozenset[int]:
+    """``chain``, an antichain, with ``e`` added: edges inside ``e`` go; ``e`` goes if empty or inside one."""
+    if not e:
+        return chain
+    kept = [e]
+    for f in chain:
+        if not e & ~f:
+            return chain
+        if f & ~e:
+            kept.append(f)
+    return frozenset(kept)
+
+
+class _State:
+    """One distinct elimination state; ``children`` and ``costs`` memoise its steps by vertex bit."""
+
+    __slots__ = ("after", "cut", "budget", "children", "costs")
+
+    def __init__(self, after: frozenset[int], cut: frozenset[int], budget: Budget):
+        self.after, self.cut, self.budget = after, cut, budget
+        self.children: dict[int, _State] = {}
+        self.costs: dict[int, object] = {}
+
+    def child(self, vbit: int, pool: dict) -> _State:
+        """The state once ``vbit`` is removed too, for a caller that missed ``children``."""
+        nb = 0
+        for e in self.after:
+            if e & vbit:
+                nb |= e
+        if not nb:
+            # no edge holds vbit (every cut edge lies inside an edge after);
+            # a child that is its parent is not stored, so pools stay acyclic
+            return self
+        # the edges through vbit shrink into its open neighbourhood, a fresh edge
+        after = _with(frozenset([e for e in self.after if not e & vbit]), nb & ~vbit)
+        cut = frozenset([e for e in self.cut if not e & vbit])
+        for e in self.cut:
+            if e & vbit:
+                cut = _with(cut, e & ~vbit)
+        got = self.children[vbit] = _state(pool, after, cut, self.budget)
+        return got
+
+    def cost(self, vbit: int, fractional: bool, covers: dict):
+        """Cover number of ``vbit``'s neighbourhood by the cut edges, for a caller that missed ``costs``."""
+        nb = 0
+        for e in self.after:
+            if e & vbit:
+                nb |= e
+        got = self.costs[vbit << 1 | fractional] = _cover(nb, self.cut, fractional, self.budget, covers)
+        return got
+
+
+def _state(pool: dict, after: frozenset[int], cut: frozenset[int], budget: Budget) -> _State:
+    """The pool's one state with these edges."""
+    key = (after, cut, budget.max_states)
+    got = pool.get(key)
+    if got is None:
+        if len(pool) > 1 << 18:
+            pool.clear()
+        got = pool[key] = _State(after, cut, budget)
+    return got
+
+
+_STATES: dict[tuple, _State] = {}
+
+
+def _children(states: tuple[_State, ...], vbit: int, pool: dict) -> tuple[_State, ...]:
+    """The distinct states once ``vbit`` is removed too."""
+    if len(states) == 1:
+        return (states[0].children.get(vbit) or states[0].child(vbit, pool),)
+    return tuple({s.children.get(vbit) or s.child(vbit, pool): None for s in states})
+
+
+def _worst(states: tuple[_State, ...], vbit: int, fractional: bool, covers: dict):
+    """The worst cover number of ``vbit``'s neighbourhood over ``states``."""
+    key = vbit << 1 | fractional
+    worst = None
+    for s in states:
+        c = s.costs.get(key)
+        if c is None:
+            c = s.cost(vbit, fractional, covers)
+        if worst is None or c > worst:
+            worst = c
+    return worst
 
 
 # --- widths of elimination orders -------------------------------------------
 
-_KIND_FRACTIONAL = {"how": False, "fhow": True, "show": False, "sfhow": True, "bhow": False, "bfhow": True}
+def _measure(h: Hypergraph | SignedHypergraph, kind: str, budget: Budget, steps: int) -> tuple:
+    """``(vertices, fractional, fixed masks, optional masks)`` of a width request.
 
-
-def _subsets(edges: tuple[frozenset[str], ...]) -> Iterable[tuple[frozenset[str], ...]]:
-    for r in range(len(edges) + 1):
-        yield from itertools.combinations(edges, r)
-
-
-def _families(h: Hypergraph | SignedHypergraph, kind: str) -> tuple[tuple[frozenset[str], ...], tuple[frozenset[str], ...]]:
-    """The edge families a width measure maximises over, as ``(fixed, optional)``.
-
-    Each family is the fixed edges plus a subset of the optional ones.
-    ``show``/``sfhow``: the positive edges are fixed and the negative
-    ones optional; ``bhow``/``bfhow``: every edge is optional;
-    ``how``/``fhow``: every edge is fixed.
+    Each edge family the measure maximises over is the fixed edges plus
+    a subset of the optional ones.  ``show``/``sfhow``: the positive
+    edges are fixed and the negative ones optional; ``bhow``/``bfhow``:
+    every edge is optional; ``how``/``fhow``: every edge is fixed.  The
+    caller names how many steps it will cost, and families x steps is
+    charged against the budget before anything is built.
     """
+    signed = isinstance(h, SignedHypergraph)
     if kind in ("show", "sfhow"):
-        return (h.pos_edges, h.neg_edges) if isinstance(h, SignedHypergraph) else (h.edges, ())
-    plain = h.unsigned() if isinstance(h, SignedHypergraph) else h
-    if kind in ("bhow", "bfhow"):
-        return (), plain.edges
-    if kind in ("how", "fhow"):
-        return plain.edges, ()
-    raise ValueError(f"unknown width measure {kind!r}")
+        fixed, optional = (h.pos_edges, h.neg_edges) if signed else (h.edges, ())
+    elif kind in ("bhow", "bfhow"):
+        fixed, optional = (), (h.unsigned() if signed else h).edges
+    elif kind in ("how", "fhow"):
+        fixed, optional = (h.unsigned() if signed else h).edges, ()
+    else:
+        raise ValueError(f"unknown width measure {kind!r}")
+    # a call with no steps still builds every family's root state
+    if (1 << len(optional)) * max(steps, 1) > budget.max_states:
+        raise BudgetExceededError(
+            f"2^{len(optional)} edge families x {steps} cover steps exceed the budget of {budget.max_states} states"
+        )
+    vertices = tuple(sorted(h.vertices))
+    index = {v: i for i, v in enumerate(vertices)}
+    masks = [frozenset(_mask(index, e) for e in edges) for edges in (fixed, optional)]
+    return vertices, kind in ("fhow", "sfhow", "bfhow"), *masks
 
 
-class _OrderCost:
-    """Step cost ``(removed_set, next_vertex) -> cover number`` for one width kind.
-
-    The cost is the worst over the measure's family tables; ``table``
-    makes each one, memoised or fresh.  The caller names how many steps
-    it will ask for, and families x steps is charged against the budget
-    before any table is built.  The tables share ``covers``, a cover
-    number per covering family, for the life of this object.
-    """
-
-    def __init__(self, h: Hypergraph | SignedHypergraph, kind: str, budget: Budget, table, steps: int):
-        fixed, optional = _families(h, kind)
-        # a call with no steps still builds every family's table
-        if (1 << len(optional)) * max(steps, 1) > budget.max_states:
-            raise BudgetExceededError(
-                f"2^{len(optional)} edge families x {steps} cover steps exceed the budget of {budget.max_states} states"
-            )
-        self.vertices = tuple(sorted(h.vertices))
-        self.fractional = _KIND_FRACTIONAL[kind]
-        index = {v: i for i, v in enumerate(self.vertices)}
-        # equal families collapse as they are built, so memory follows the distinct ones
-        families = {frozenset(_mask(index, e) for e in fixed)}
-        for e in optional:
-            m = _mask(index, e)
-            families |= {f | {m} for f in families}
-        masks = [tuple(sorted(f)) for f in families]
-        self.tables = [table(len(self.vertices), edges, budget) for edges in masks]
-        # one table never meets a family twice: its own memo, by need, answers first
-        self.covers: dict[frozenset[int], object] | None = {} if len(self.tables) > 1 else None
-
-    def key(self) -> tuple:
-        return (self.vertices, self.fractional, tuple(sorted(t.edges for t in self.tables)))
-
-    def cost(self, removed: int, vbit: int):
-        fractional, covers = self.fractional, self.covers
-        worst = None
-        for table in self.tables:
-            c = table.cost(removed, vbit, fractional, covers)
-            if worst is None or c > worst:
-                worst = c
-        return worst
+def _roots(fixed: frozenset[int], optional: frozenset[int], pool: dict, budget: Budget) -> tuple[_State, ...]:
+    """The distinct start states of the families: the fixed edges plus each subset of the optional ones."""
+    families = {frozenset(_maximal(fixed))}
+    for m in optional:
+        families |= {_with(f, m) for f in families}
+    return tuple({_state(pool, f, f, budget): None for f in families})
 
 
 def width_of_order(h: Hypergraph | SignedHypergraph, kind: str, order: EliminationOrder, budget: Budget = DEFAULT_BUDGET):
     """Width of one elimination order under any of the six measures.
 
     One walk along the order; each step costs the worst cover number of
-    the removed vertex's neighbourhood over the measure's edge family.
+    the removed vertex's neighbourhood over the measure's edge families.
     Vertices of ``h`` missing from ``order`` are never removed; a vertex
-    outside ``h``, or repeated, raises ``VertexNotFoundError``.
+    outside ``h``, or repeated, raises ``VertexNotFoundError``.  The
+    states live in a pool of this call's own, so nothing outlives it.
     """
-    # Within this call the fresh tables share one cover per covering
-    # family (model.covers); nothing outlives the call.  Sharing
-    # best_order's _FAMILY_TABLES memo across calls is a later perf
-    # change: it waits for the ROADMAP benchmark item, which times each
-    # request kind on its own.
-    model = _OrderCost(h, kind, budget, _FamilyTable, len(order))
-    index = {v: i for i, v in enumerate(model.vertices)}
-    width = Fraction(0) if model.fractional else 0
-    removed = 0
+    vertices, fractional, fixed, optional = _measure(h, kind, budget, len(order))
+    pool: dict = {}
+    states = _roots(fixed, optional, pool, budget)
+    index = {v: i for i, v in enumerate(vertices)}
+    covers: dict = {}
+    width = Fraction(0) if fractional else 0
+    removed = last = 0
     for v in order:
         vbit = 1 << index[v] if v in index else 0
         if not vbit or removed & vbit:
             raise VertexNotFoundError(f"vertex {v} not in hypergraph")
-        width = max(width, model.cost(removed, vbit))
+        if last:
+            states = _children(states, last, pool)
+        width = max(width, _worst(states, vbit, fractional, covers))
         removed |= vbit
+        last = vbit
     return width
 
 
@@ -422,15 +440,6 @@ def sfhow_width(h: SignedHypergraph, order: EliminationOrder, budget: Budget = D
     return width_of_order(h, "sfhow", order, budget)
 
 
-def bhow_width(h: Hypergraph, order: EliminationOrder, budget: Budget = DEFAULT_BUDGET) -> int:
-    """Worst ``how`` width over all edge subsets (hereditary width of the order)."""
-    return width_of_order(h, "bhow", order, budget)
-
-
-def bfhow_width(h: Hypergraph, order: EliminationOrder, budget: Budget = DEFAULT_BUDGET) -> Fraction:
-    return width_of_order(h, "bfhow", order, budget)
-
-
 # --- optimal orders ---------------------------------------------------------
 
 _BEST_ORDER_MEMO: dict[tuple, tuple] = {}
@@ -445,32 +454,37 @@ def best_order(
 
     Small vertex sets are solved exactly by dynamic programming over
     removed-vertex subsets (the neighbourhood at a removal step depends
-    only on the set removed before it).  Larger ones fall back to a
-    greedy order whose width is still reported faithfully, flagged as an
-    upper bound.
+    only on the set removed before it), on the states of the module
+    pool ``_STATES``.  Larger ones fall back to a greedy order whose
+    width is still reported faithfully, flagged as an upper bound.
     """
     n = len(h.vertices)
     exact = n <= EXACT_SEARCH_MAX_VERTICES
     # cost calls: one per (removed set, vertex in it) for the DP, n..1 per greedy round
-    model = _OrderCost(h, kind, budget, _family_table, (n << n) >> 1 if exact else n * (n + 1) // 2)
-    verts = model.vertices
-    zero = Fraction(0) if model.fractional else 0
+    memo_key = _measure(h, kind, budget, (n << n) >> 1 if exact else n * (n + 1) // 2)
+    verts, fractional, fixed, optional = memo_key
+    zero = Fraction(0) if fractional else 0
     if n == 0:
         return VarOrder(()), zero, True
     if exact:
-        memo_key = model.key()
         hit = _BEST_ORDER_MEMO.get(memo_key)
         if hit is not None:
             return hit
+    covers: dict = {}
+    roots = _roots(fixed, optional, _STATES, budget)
+    if exact:
+        layer = {0: roots}
         best: dict[int, tuple] = {0: (zero, ())}
         for removed in sorted(range(1, 1 << n), key=int.bit_count):
+            top = 1 << (removed.bit_length() - 1)
+            layer[removed] = _children(layer[removed ^ top], top, _STATES)
             winner = None
             bits = removed
             while bits:
                 vbit = bits & -bits
                 bits ^= vbit
                 prior_width, prior_seq = best[removed ^ vbit]
-                w = max(prior_width, model.cost(removed ^ vbit, vbit))
+                w = max(prior_width, _worst(layer[removed ^ vbit], vbit, fractional, covers))
                 if winner is None or w < winner[0]:
                     winner = (w, prior_seq + (verts[vbit.bit_length() - 1],))
             best[removed] = winner
@@ -482,6 +496,7 @@ def best_order(
         return result
 
     # greedy: cheapest next removal, ties by name
+    states = roots
     removed = 0
     seq = []
     width = zero
@@ -490,12 +505,13 @@ def best_order(
         for i, v in enumerate(verts):
             if removed >> i & 1:
                 continue
-            c = model.cost(removed, 1 << i)
+            c = _worst(states, 1 << i, fractional, covers)
             if pick_cost is None or c < pick_cost:
                 pick, pick_cost = i, c
         seq.append(verts[pick])
         width = max(width, pick_cost)
         removed |= 1 << pick
+        states = _children(states, 1 << pick, _STATES)
     return VarOrder(tuple(seq)), width, False
 
 
@@ -506,7 +522,7 @@ def bhtw_bruteforce(h: Hypergraph, budget: Budget = DEFAULT_BUDGET) -> int:
     if 2 ** len(h.edges) > budget.max_states:
         raise BudgetExceededError(f"2^{len(h.edges)} subhypergraphs exceed the budget")
     worst = 0
-    for edges in _subsets(h.edges):
+    for edges in itertools.chain.from_iterable(itertools.combinations(h.edges, r) for r in range(len(h.edges) + 1)):
         _, width, exact = best_order(Hypergraph(h.vertices, edges), "how", budget)
         assert exact
         worst = max(worst, width)
@@ -552,12 +568,6 @@ def beta_elim_order(h: Hypergraph) -> EliminationOrder | None:
         seq.append(pick)
         remaining = _drop_vertices(remaining, {pick})
     return VarOrder(tuple(seq))
-
-
-def is_nest_set(h: Hypergraph, s: Iterable[str]) -> bool:
-    """Whether the edges meeting ``s``, with ``s`` removed, form an inclusion chain."""
-    block = frozenset(s)
-    return _chain_ordered(e - block for e in h.edges if e & block)
 
 
 def nsw_bruteforce(
@@ -645,13 +655,3 @@ def clone_vertex(h: SignedHypergraph, u: str, clone_name: str | None = None) -> 
 
     return SignedHypergraph(h.vertices | {u2}, widen(h.pos_edges), widen(h.neg_edges))
 
-
-def is_free_connex(order: EliminationOrder, s: Iterable[str]) -> bool:
-    """Whether ``s`` is exactly a suffix of the elimination order."""
-    block = frozenset(s)
-    if not block:
-        return True
-    n = len(order.vars)
-    if len(block) > n:
-        return False
-    return frozenset(order.vars[n - len(block):]) == block

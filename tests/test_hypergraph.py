@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -15,17 +16,13 @@ from cqda.hypergraph import (
     SignedHypergraph,
     best_order,
     beta_elim_order,
-    bfhow_width,
-    bhow_width,
     bhtw_bruteforce,
     clone_vertex,
     cover_number,
     fhow_width,
     fractional_cover_number,
     how_width,
-    is_free_connex,
     is_nest_point,
-    is_nest_set,
     nsw_bruteforce,
     show_width,
     sfhow_width,
@@ -36,10 +33,33 @@ from cqda.relations import VarOrder
 
 TRIANGLE = Hypergraph.of("abc", [{"a", "b"}, {"b", "c"}, {"a", "c"}])
 TRI_FULL = Hypergraph.of("abc", [{"a", "b"}, {"b", "c"}, {"a", "c"}, {"a", "b", "c"}])
+SERVE_QUERY = "Q(*) :- C(x), R1(x,y1), R2(x,y2), R3(x,y3), !N1(y1), !N2(y2)."
 
 
 def edge_set(h):
     return {frozenset(e) for e in h.edges}
+
+
+def bhow_width(h, order, budget=hypergraph.DEFAULT_BUDGET):
+    """Worst ``how`` width over all edge subsets (hereditary width of the order)."""
+    return width_of_order(h, "bhow", order, budget)
+
+
+def bfhow_width(h, order, budget=hypergraph.DEFAULT_BUDGET):
+    return width_of_order(h, "bfhow", order, budget)
+
+
+def is_nest_set(h, s):
+    """Whether the edges meeting ``s``, with ``s`` removed, form an inclusion chain."""
+    block = frozenset(s)
+    chain = sorted({e - block for e in h.edges if e & block}, key=len)
+    return all(a <= b for a, b in zip(chain, chain[1:]))
+
+
+def is_free_connex(order, s):
+    """Whether ``s`` is exactly a suffix of the elimination order."""
+    block = frozenset(s)
+    return len(block) <= len(order.vars) and frozenset(order.vars[len(order.vars) - len(block):]) == block
 
 
 def test_remove_vertex_triangle():
@@ -387,14 +407,15 @@ def _module_memos() -> dict[str, int]:
 def test_width_of_order_builds_its_own_tables(monkeypatch):
     h = hypergraph_of(example51_query())
     best_order(h, "show")
-    before = dict(hypergraph._FAMILY_TABLES)
+    before = dict(hypergraph._STATES)
     for kind in ("how", "fhow", "show", "sfhow", "bhow", "bfhow"):
         width_of_order(h, kind, VarOrder(tuple(sorted(h.vertices))))
-    assert hypergraph._FAMILY_TABLES == before
+    assert hypergraph._STATES == before
 
-    # the star of the serve benchmark: within one call, one LP per covering
-    # family (the distinct nonempty parts e & need), and nothing kept after it
-    serve = hypergraph_of(parse_query("Q(*) :- C(x), R1(x,y1), R2(x,y2), R3(x,y3), !N1(y1), !N2(y2)."))
+    # the star of the serve benchmark: within one call, at most one LP per
+    # covering family (the distinct nonempty parts e & need), and nothing
+    # kept after it
+    serve = hypergraph_of(parse_query(SERVE_QUERY))
     order, width, _ = best_order(serve, "bfhow")
     families = set()
     for g in oracle.family(serve, "bfhow"):
@@ -404,14 +425,119 @@ def test_width_of_order_builds_its_own_tables(monkeypatch):
     calls = []
     solve = hypergraph._packing_max
     monkeypatch.setattr(hypergraph, "_packing_max", lambda rows, n: calls.append(rows) or solve(rows, n))
-    before, memos = dict(hypergraph._FAMILY_TABLES), _module_memos()
+    before, memos = dict(hypergraph._STATES), _module_memos()
     counts = []
     for _ in range(2):
         calls.clear()
         assert width_of_order(serve, "bfhow", order) == width
         counts.append(len(calls))
-    assert 0 < counts[0] <= len(families) and counts[1] == counts[0]
-    assert hypergraph._FAMILY_TABLES == before and _module_memos() == memos
+    assert counts[0] <= len(families) and counts[1] == counts[0]
+    assert hypergraph._STATES == before and _module_memos() == memos
+
+    # serve's kernels need no LP at all; the triangle's first step keeps
+    # all three parts, and is the one LP of its fhow = 3/2
+    calls.clear()
+    assert width_of_order(TRIANGLE, "fhow", VarOrder(("a", "b", "c"))) == Fraction(3, 2)
+    assert 0 < len(calls) == 1
+
+
+def test_best_order_reads_its_memo_before_building_states(monkeypatch):
+    serve = hypergraph_of(parse_query(SERVE_QUERY))
+    first = best_order(serve, "bfhow")
+    # an empty pool that refuses new states: a repeat may not build any
+    monkeypatch.setattr(hypergraph, "_STATES", {})
+    monkeypatch.setattr(hypergraph, "_State", lambda *args: pytest.fail("best_order built a state"))
+    assert best_order(serve, "bfhow") is first
+    assert hypergraph._STATES == {}
+
+
+def test_cover_search_leaves_no_reference_cycles():
+    serve = hypergraph_of(parse_query(SERVE_QUERY))
+    order = VarOrder(("x", "y1", "y2", "y3"))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(1000):
+            # every vertex lies in two parts, so the kernel keeps all three and the search runs
+            assert cover_number("abc", TRIANGLE.edges) == 2
+        assert gc.collect() == 0
+        # a width request's own pool of states is freed by reference counting alone
+        for kind in ("how", "show", "bhow", "bfhow"):
+            width_of_order(serve, kind, order)
+            width_of_order(TRIANGLE, kind, VarOrder(("a", "b", "c")))
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@given(hypergraphs(max_vertices=6, max_edges=5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_states_do_not_depend_on_the_removal_order(h, data):
+    # best_order's DP reaches each removed set along one path and costs it for every other
+    _, _, fixed, optional = hypergraph._measure(h, "bhow", hypergraph.DEFAULT_BUDGET, 1)
+    pool: dict = {}
+    roots = hypergraph._roots(fixed, optional, pool, hypergraph.DEFAULT_BUDGET)
+    gone = data.draw(st.lists(st.integers(0, len(h.vertices) - 1), unique=True))
+    removed = sum(1 << i for i in gone)
+    reached = set()
+    for perm in (gone, data.draw(st.permutations(gone))):
+        states = roots
+        for i in perm:
+            states = hypergraph._children(states, 1 << i, pool)
+        reached.add(frozenset(map(id, states)))
+        for s in states:
+            # edges hold remaining vertices only, and each cut edge lies inside an edge after
+            assert not any(e & removed for e in s.after | s.cut)
+            assert all(any(not c & ~a for a in s.after) for c in s.cut)
+    assert len(reached) == 1
+
+
+@st.composite
+def covering_families(draw):
+    """Edges over ``n`` vertices with repeated, nested and single-owner parts, and a need that may be uncoverable."""
+    n = draw(st.integers(1, 6))
+    full = (1 << n) - 1
+    edges = draw(st.lists(st.integers(1, full), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        e, part = draw(st.sampled_from(edges)), draw(st.integers(0, full))
+        edges.append(draw(st.sampled_from((e, e & part or e, e | 1 << n))))
+        if edges[-1] >> n:
+            # the fresh vertex n belongs to this edge alone
+            n += 1
+            full = (1 << n) - 1
+    # one more vertex than the edges know, so some needs cannot be covered
+    need = draw(st.integers(0, (1 << (n + 1)) - 1))
+    return draw(st.permutations(edges)), need, n + 1
+
+
+@given(covering_families())
+@settings(max_examples=400, deadline=None)
+def test_cover_kernel_matches_set_based_search(case):
+    edges, need, n = case
+    names = [f"v{i}" for i in range(n)]
+    as_set = [frozenset(names[i] for i in range(n) if e >> i & 1) for e in edges]
+    target = {names[i] for i in range(n) if need >> i & 1}
+    for fractional, expected_of in ((False, oracle.cover_number), (True, oracle.fractional_cover_number)):
+        try:
+            expected = expected_of(target, as_set)
+        except UncoverableError:
+            with pytest.raises(UncoverableError):
+                hypergraph._cover(need, edges, fractional, hypergraph.DEFAULT_BUDGET, {})
+            continue
+        covers: dict = {}
+        for _ in range(2):  # the second call reads the kernel's cover from covers
+            got = hypergraph._cover(need, edges, fractional, hypergraph.DEFAULT_BUDGET, covers)
+            assert type(got) is type(expected) and got == expected
+    parts = {e & need for e in edges} - {0}
+    forced, kernel, union = hypergraph._kernel(parts)
+    once = twice = 0
+    for p in kernel:
+        twice |= once & p
+        once |= p
+    # the kernel is an antichain in which every vertex lies in two parts
+    assert once == twice == union and all(p & ~q for p in kernel for q in kernel if p != q)
 
 
 @given(instances(max_vars=4, max_atoms=3, max_dom=3))
