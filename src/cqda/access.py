@@ -190,24 +190,6 @@ def _oracle(c: Circuit, idx: AccessIndex, gates: tuple[int, ...], p: int, n: int
     return c.domain.value_at(r), (r - 1) * product, gates
 
 
-def count_leq(c: Circuit, idx: AccessIndex, tau: Mapping[str, str], n: int) -> tuple[str, int]:
-    """Counting oracle for the first unbound variable after prefix ``tau``.
-
-    Returns the smallest domain value ``d`` such that at least ``n``
-    tuples extend ``tau`` with the next variable at most ``d``, together
-    with the number of extensions strictly below ``d``.
-    """
-    if len(tau) >= len(c.universe):
-        raise NotAPrefixError("prefix already binds every variable")
-    if n < 1:
-        raise OutOfRangeError("n must be at least 1")
-    f = frontier(c, idx, tau)
-    if f.empty:
-        raise UnsatisfiableError("prefix admits no extension")
-    value, below, _ = _oracle(c, idx, f.gates, len(tau), n)
-    return value, below
-
-
 def direct_access(c: Circuit, idx: AccessIndex, k: int) -> Assignment:
     """The k-th tuple (1-based) of the circuit's relation in its universe order."""
     total = count(c, idx)
@@ -271,8 +253,3 @@ def answer_window(total: int, start: int = 1, limit: int | None = None) -> range
         raise OutOfRangeError(f"window {start}..{start + limit - 1} outside 1..{total}")
     return range(start, start + limit)
 
-
-def enumerate_answers(c: Circuit, idx: AccessIndex, start: int = 1, limit: int | None = None) -> Iterator[Assignment]:
-    """Stream answers ``start .. start+limit-1`` in lexicographic order."""
-    window = answer_window(count(c, idx), start, limit)
-    return (direct_access(c, idx, k) for k in window)

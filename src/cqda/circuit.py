@@ -1,4 +1,4 @@
-"""Ordered relational circuits: gates, validation, semantics, size.
+"""Ordered relational circuits: gates, semantics, size and a debug dump.
 
 A circuit is a DAG of constant gates (``Top``/``Bot``), decision gates
 whose sorted in-edges carry domain values, and product gates joining
@@ -166,37 +166,6 @@ def gate_var_sets(c: Circuit) -> dict[int, frozenset[str]]:
             acc |= {g.var}
         var_of[gid] = acc
     return var_of
-
-
-def validate_decomposable(c: Circuit) -> tuple[bool, list[str]]:
-    """Check product disjointness and that no decision child re-tests its variable."""
-    problems: list[str] = []
-    var_of = gate_var_sets(c)
-    for gid in var_of:
-        g = c.gates[gid]
-        if isinstance(g, ProductGate):
-            taken: set[str] = set()
-            for child in g.children:
-                overlap = taken & var_of[child]
-                if overlap:
-                    problems.append(f"product {gid}: children share {sorted(overlap)}")
-                taken |= var_of[child]
-        elif isinstance(g, DecisionGate):
-            for _, child in g.edges:
-                if g.var in var_of[child]:
-                    problems.append(f"decision {gid}: child {child} re-tests {g.var}")
-    return not problems, problems
-
-
-def validate_ordered(c: Circuit, order: VarOrder) -> bool:
-    """True iff every decision gate tests the order-minimum of its variable set."""
-    var_of = gate_var_sets(c)
-    for gid, vs in var_of.items():
-        g = c.gates[gid]
-        if isinstance(g, DecisionGate) and vs:
-            if order.min_of(vs) != g.var:
-                return False
-    return True
 
 
 def semantics_bruteforce(c: Circuit, max_tuples: int = DEFAULT_MATERIALISE_BOUND) -> Relation:

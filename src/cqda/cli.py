@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import hypergraph as hg
@@ -62,7 +63,7 @@ def database_from_dict(doc: dict) -> Database:
         if not isinstance(spec, dict) or "arity" not in spec or "tuples" not in spec:
             raise DatabaseFormatError(f"relation {name} needs 'arity' and 'tuples'")
         arity = spec["arity"]
-        if not isinstance(arity, int) or arity < 1:
+        if type(arity) is not int or arity < 1:  # bool is an int subclass, but not an arity
             raise DatabaseFormatError(f"relation {name} has invalid arity")
         if not isinstance(spec["tuples"], list):
             raise DatabaseFormatError(f"relation {name}: 'tuples' must be a list")
@@ -80,16 +81,6 @@ def database_from_dict(doc: dict) -> Database:
             rows.add(tuple(row))  # duplicates collapse silently: relations are sets
         relations[name] = Relation(tuple(f"c{j}" for j in range(arity)), frozenset(rows))
     return Database(domain, relations)
-
-
-def database_to_dict(db: Database) -> dict:
-    return {
-        "domain": list(db.domain.values),
-        "relations": {
-            name: {"arity": len(rel.vars), "tuples": sorted(list(row) for row in rel.rows)}
-            for name, rel in sorted(db.relations.items())
-        },
-    }
 
 
 def load_database(path: str) -> Database:
@@ -246,14 +237,17 @@ def cmd_compile(args) -> int:
         circuit, stats = dpll_compile(body, db, order.reversed(), budget)
     else:
         circuit, _, stats = compile_binarized(body, db, order.reversed(), budget)
-    text = dump_circuit(circuit)
+    try:
+        text = dump_circuit(circuit)
+    except ValueError as exc:  # a raw domain value with whitespace or "->" has no dump form
+        raise CqdaError(str(exc)) from exc
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     if args.stats:
-        _emit(stats.to_dict(), args.pretty)
+        _emit(asdict(stats), args.pretty)
     return 0
 
 

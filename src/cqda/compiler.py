@@ -71,14 +71,6 @@ class CompileStats:
     gates: int = 0
     edges: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "rec_calls": self.rec_calls,
-            "cache_hits": self.cache_hits,
-            "gates": self.gates,
-            "edges": self.edges,
-        }
-
 
 _EMPTY = -1  # result of a call whose relation is empty; it never becomes a gate
 _TOP = -2  # result of an existential call with a model; products drop it, an edge or the output makes it Top

@@ -570,13 +570,54 @@ def beta_elim_order(h: Hypergraph) -> EliminationOrder | None:
     return VarOrder(tuple(seq))
 
 
-def nsw_bruteforce(
-    h: Hypergraph, k_max: int | None = None, budget: Budget = DEFAULT_BUDGET
-) -> int | None:
-    """Smallest width of a nest-set elimination order, up to ``k_max``.
+def _nest_ok(edges: list[int], block: int) -> bool:
+    """Whether the edges meeting ``block``, cut to the vertices outside it, form an inclusion chain."""
+    touched = sorted({e & ~block for e in edges if e & block}, key=int.bit_count)
+    return all(a & ~b == 0 for a, b in zip(touched, touched[1:]))
 
-    Memoised exhaustive search over remaining-vertex states; complete on
-    the tiny instances it accepts.
+
+def _blocks(mask: int, size: int):
+    """Each ``size``-vertex subset of ``mask`` as a mask, in ``itertools.combinations`` order."""
+    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    for combo in itertools.combinations(bits, size):
+        block = 0
+        for b in combo:
+            block |= b
+        yield block
+
+
+def _reducible(remaining: int, k: int, edges: list[int], memo: dict, states: list[int], budget: Budget) -> bool:
+    """Whether nest sets of at most ``k`` vertices eliminate ``remaining``; smaller blocks first.
+
+    ``memo`` maps searched sets to answers, and ``states[0]`` counts
+    them against the budget.  Not a closure, so a call leaves no cycle.
+    """
+    if not remaining:
+        return True
+    hit = memo.get(remaining)
+    if hit is not None:
+        return hit
+    states[0] += 1
+    if states[0] > budget.max_states:
+        raise BudgetExceededError("nest-set search exceeded the state budget")
+    sub = [e & remaining for e in edges if e & remaining]
+    ok = False
+    for size in range(1, k + 1):
+        for block in _blocks(remaining, size):
+            if _nest_ok(sub, block) and _reducible(remaining & ~block, k, edges, memo, states, budget):
+                ok = True
+                break
+        if ok:
+            break
+    memo[remaining] = ok
+    return ok
+
+
+def nsw_bruteforce(h: Hypergraph, budget: Budget = DEFAULT_BUDGET) -> int:
+    """Smallest width of a nest-set elimination order, by memoised exhaustive search.
+
+    Widths 1, 2, ... are tried in turn; the whole vertex set is a nest
+    set, so some width up to the vertex count succeeds.
     """
     if len(h.vertices) > 10:
         raise BudgetExceededError("nest-set search is limited to 10 vertices")
@@ -586,72 +627,22 @@ def nsw_bruteforce(
         return 0
     index = {v: i for i, v in enumerate(verts)}
     edge_masks = [m for m in dict.fromkeys(_mask(index, e) for e in h.edges) if m]
-    cap = n if k_max is None else min(k_max, n)
-    states = 0
-
-    def nest_ok(edges: list[int], block: int) -> bool:
-        touched = sorted(
-            {e & ~block for e in edges if e & block}, key=int.bit_count
-        )
-        return all(a & ~b == 0 for a, b in zip(touched, touched[1:]))
-
-    def subsets_of(mask: int, size: int):
-        bits = [1 << i for i in range(n) if mask >> i & 1]
-        for combo in itertools.combinations(bits, size):
-            block = 0
-            for b in combo:
-                block |= b
-            yield block
-
-    def reducible(remaining: int, k: int, memo: dict) -> bool:
-        nonlocal states
-        if not remaining:
-            return True
-        hit = memo.get(remaining)
-        if hit is not None:
-            return hit
-        states += 1
-        if states > budget.max_states:
-            raise BudgetExceededError("nest-set search exceeded the state budget")
-        sub = [e & remaining for e in edge_masks if e & remaining]
-        ok = False
-        for size in range(1, k + 1):
-            for block in subsets_of(remaining, size):
-                if nest_ok(sub, block) and reducible(remaining & ~block, k, memo):
-                    ok = True
-                    break
-            if ok:
-                break
-        memo[remaining] = ok
-        return ok
-
+    states = [0]
     full = (1 << n) - 1
-    for k in range(1, cap + 1):
-        if reducible(full, k, {}):
-            return k
-    return None
+    return next(k for k in range(1, n + 1) if _reducible(full, k, edge_masks, {}, states, budget))
 
 
 # --- cloning and free-connex orders ------------------------------------------
 
-def fresh_clone_name(u: str, taken: Iterable[str]) -> str:
-    used = set(taken)
-    candidate = u + "_c"
-    while candidate in used:
-        candidate += "c"
-    return candidate
-
-
-def clone_vertex(h: SignedHypergraph, u: str, clone_name: str | None = None) -> SignedHypergraph:
-    """Add a twin of ``u`` to every edge containing ``u``, sign-preserving."""
+def clone_vertex(h: SignedHypergraph, u: str, clone_name: str) -> SignedHypergraph:
+    """Add the new vertex ``clone_name`` to every edge containing ``u``, sign-preserving."""
     if u not in h.vertices:
         raise VertexNotFoundError(f"vertex {u} not in hypergraph")
-    u2 = clone_name if clone_name is not None else fresh_clone_name(u, h.vertices)
-    if u2 in h.vertices:
-        raise ValueError(f"clone name {u2} already taken")
+    if clone_name in h.vertices:
+        raise ValueError(f"clone name {clone_name} already taken")
 
     def widen(edges):
-        return tuple(e | {u2} if u in e else e for e in edges)
+        return tuple(e | {clone_name} if u in e else e for e in edges)
 
-    return SignedHypergraph(h.vertices | {u2}, widen(h.pos_edges), widen(h.neg_edges))
+    return SignedHypergraph(h.vertices | {clone_name}, widen(h.pos_edges), widen(h.neg_edges))
 

@@ -1,9 +1,8 @@
-"""Named tuples, relations and ordered domains, plus brute-force oracles.
+"""Named tuples, relations and ordered domains, plus a full-sort oracle.
 
-Everything here works on explicit, fully materialised relations.  The
-k-th-tuple routine is the reference oracle the circuit and reduction
-engines are tested against; it deliberately avoids sorting and instead
-walks the prefix-count decomposition one variable at a time.
+Everything here works on explicit, fully materialised relations.
+``sort_lex`` lists a relation in lexicographic order by sorting it
+outright; the circuit and reduction engines are tested against it.
 """
 
 from __future__ import annotations
@@ -84,9 +83,6 @@ class VarOrder:
     def reversed(self) -> VarOrder:
         return VarOrder(self.vars[::-1])
 
-    def min_of(self, names: Iterable[str]) -> str:
-        return min(names, key=self._pos.__getitem__)
-
 
 class Assignment(Mapping):
     """Immutable mapping from variable names to domain values."""
@@ -150,10 +146,6 @@ class Relation:
 
     def column(self, var: str) -> int:
         return self.vars.index(var)
-
-    def assignments(self) -> Iterator[Assignment]:
-        for row in self.rows:
-            yield Assignment(zip(self.vars, row))
 
     def trie(self, perm: tuple[int, ...]) -> dict:
         """Nested-dict prefix trie over columns taken in ``perm`` order.
@@ -232,27 +224,6 @@ def join(r1: Relation, r2: Relation) -> Relation:
     return Relation(out_vars, frozenset(out))
 
 
-def extended_union(r1: Relation, r2: Relation, domain: Domain) -> Relation:
-    """Union after padding each side with all values of the missing variables."""
-    out_vars = r1.vars + tuple(v for v in r2.vars if v not in r1.vars)
-
-    def expand(rel: Relation) -> Iterator[tuple[str, ...]]:
-        missing = [v for v in out_vars if v not in rel.vars]
-        cols = {v: rel.column(v) for v in rel.vars}
-        for row in rel.rows:
-            for pad in itertools.product(domain.values, repeat=len(missing)):
-                filled = dict(zip(missing, pad))
-                yield tuple(row[cols[v]] if v in cols else filled[v] for v in out_vars)
-
-    return Relation(out_vars, frozenset(itertools.chain(expand(r1), expand(r2))))
-
-
-def select_prefix(r: Relation, tau: Mapping[str, str]) -> Relation:
-    """Rows of ``r`` agreeing with ``tau`` on every variable ``tau`` binds."""
-    cols = [(r.column(v), d) for v, d in tau.items()]
-    return Relation(r.vars, frozenset(row for row in r.rows if all(row[c] == d for c, d in cols)))
-
-
 def lex_compare(t1: Mapping[str, str], t2: Mapping[str, str], order: VarOrder, domain: Domain) -> int:
     """Compare two tuples over the same variables; returns LT, EQ or GT."""
     if set(t1) != set(t2):
@@ -272,32 +243,3 @@ def sort_lex(r: Relation, order: VarOrder, domain: Domain) -> list[Assignment]:
     rows = sorted(r.rows, key=lambda row: tuple(domain.rank(row[c]) for c in sig))
     return [Assignment(zip(r.vars, row)) for row in rows]
 
-
-def kth_tuple_bruteforce(r: Relation, order: VarOrder, domain: Domain, k: int) -> Assignment:
-    """The k-th tuple of ``r`` under the lexicographic order (1-based).
-
-    Peels one variable at a time: bind the most significant variable to
-    the smallest value whose prefix count reaches k, subtract the count
-    of strictly smaller prefixes, recurse on the selected slice.
-    """
-    if k < 1 or k > len(r.rows):
-        raise OutOfRangeError(f"k out of range (count={len(r.rows)})")
-    rows = list(r.rows)
-    bound: dict[str, str] = {}
-    for var in order:
-        if var not in r.vars:
-            continue
-        col = r.vars.index(var)
-        tally: dict[str, int] = {}
-        for row in rows:
-            tally[row[col]] = tally.get(row[col], 0) + 1
-        below = 0
-        for d in domain.values:
-            here = tally.get(d, 0)
-            if below + here >= k:
-                bound[var] = d
-                k -= below
-                rows = [row for row in rows if row[col] == d]
-                break
-            below += here
-    return Assignment(bound)

@@ -1,17 +1,20 @@
-"""Shared fixtures: the worked examples and random instance generators."""
+"""Shared fixtures: the worked examples, random instance generators, and the
+checks and oracles that more than one test file uses."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import strategies as st
 
-from cqda.circuit import Circuit
+from cqda.circuit import Circuit, DecisionGate, ProductGate, gate_var_sets
+from cqda.errors import OutOfRangeError
 from cqda.query import Atom, SignedQuery, parse_query
-from cqda.relations import Database, Domain, Relation, VarOrder
+from cqda.relations import Assignment, Database, Domain, Relation, VarOrder
 
 
 def example51_db() -> Database:
@@ -65,6 +68,73 @@ def tree_trie(rel: Relation, perm: tuple[int, ...]) -> dict:
         for col in perm:
             node = node.setdefault(row[col], {})
     return root
+
+
+def validate_decomposable(c: Circuit) -> tuple[bool, list[str]]:
+    """Check product disjointness and that no decision child re-tests its variable."""
+    problems: list[str] = []
+    var_of = gate_var_sets(c)
+    for gid in var_of:
+        g = c.gates[gid]
+        if isinstance(g, ProductGate):
+            taken: set[str] = set()
+            for child in g.children:
+                overlap = taken & var_of[child]
+                if overlap:
+                    problems.append(f"product {gid}: children share {sorted(overlap)}")
+                taken |= var_of[child]
+        elif isinstance(g, DecisionGate):
+            for _, child in g.edges:
+                if g.var in var_of[child]:
+                    problems.append(f"decision {gid}: child {child} re-tests {g.var}")
+    return not problems, problems
+
+
+def validate_ordered(c: Circuit, order: VarOrder) -> bool:
+    """True iff every decision gate tests the order-minimum of its variable set."""
+    var_of = gate_var_sets(c)
+    for gid, vs in var_of.items():
+        g = c.gates[gid]
+        if isinstance(g, DecisionGate) and vs:
+            if min(vs, key=order.position) != g.var:
+                return False
+    return True
+
+
+def select_prefix(r: Relation, tau: Mapping[str, str]) -> Relation:
+    """Rows of ``r`` agreeing with ``tau`` on every variable ``tau`` binds."""
+    cols = [(r.column(v), d) for v, d in tau.items()]
+    return Relation(r.vars, frozenset(row for row in r.rows if all(row[c] == d for c, d in cols)))
+
+
+def kth_tuple_bruteforce(r: Relation, order: VarOrder, domain: Domain, k: int) -> Assignment:
+    """The k-th tuple of ``r`` under the lexicographic order (1-based).
+
+    Peels one variable at a time: bind the most significant variable to
+    the smallest value whose prefix count reaches k, subtract the count
+    of strictly smaller prefixes, recurse on the selected slice.
+    """
+    if k < 1 or k > len(r.rows):
+        raise OutOfRangeError(f"k out of range (count={len(r.rows)})")
+    rows = list(r.rows)
+    bound: dict[str, str] = {}
+    for var in order:
+        if var not in r.vars:
+            continue
+        col = r.vars.index(var)
+        tally: dict[str, int] = {}
+        for row in rows:
+            tally[row[col]] = tally.get(row[col], 0) + 1
+        below = 0
+        for d in domain.values:
+            here = tally.get(d, 0)
+            if below + here >= k:
+                bound[var] = d
+                k -= below
+                rows = [row for row in rows if row[col] == d]
+                break
+            below += here
+    return Assignment(bound)
 
 
 @dataclass

@@ -1,18 +1,12 @@
 import itertools
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import annotated_circuit, instances
-from cqda.access import (
-    count,
-    count_leq,
-    direct_access,
-    enumerate_answers,
-    frontier,
-    preprocess,
-    rank,
-)
+from conftest import annotated_circuit, instances, kth_tuple_bruteforce, select_prefix
+from cqda import access
+from cqda.access import AccessIndex, answer_window, count, direct_access, frontier, preprocess, rank
 from cqda.circuit import Circuit, DecisionGate, ProductGate, semantics_bruteforce
 from cqda.compiler import dpll_compile
 from cqda.errors import NotAPrefixError, OutOfRangeError, UnsatisfiableError
@@ -23,11 +17,27 @@ from cqda.relations import (
     Domain,
     Relation,
     VarOrder,
-    kth_tuple_bruteforce,
     lex_compare,
-    select_prefix,
     sort_lex,
 )
+
+
+def count_leq(c: Circuit, idx: AccessIndex, tau: Mapping[str, str], n: int) -> tuple[str, int]:
+    """Counting oracle for the first unbound variable after prefix ``tau``.
+
+    Returns the smallest domain value ``d`` such that at least ``n``
+    tuples extend ``tau`` with the next variable at most ``d``, together
+    with the number of extensions strictly below ``d``.
+    """
+    if len(tau) >= len(c.universe):
+        raise NotAPrefixError("prefix already binds every variable")
+    if n < 1:
+        raise OutOfRangeError("n must be at least 1")
+    f = frontier(c, idx, tau)
+    if f.empty:
+        raise UnsatisfiableError("prefix admits no extension")
+    value, below, _ = access._oracle(c, idx, f.gates, len(tau), n)
+    return value, below
 
 
 def test_preprocess_top_only():
@@ -145,25 +155,29 @@ def test_direct_access_bounds():
 def test_rank_and_enumerate_roundtrip():
     c = annotated_circuit()
     idx = preprocess(c)
-    answers = list(enumerate_answers(c, idx))
+
+    def answers_in(start=1, limit=None):
+        return [direct_access(c, idx, k) for k in answer_window(count(c, idx), start, limit)]
+
+    answers = answers_in()
     assert len(answers) == 14
     for k, t in enumerate(answers, 1):
         assert rank(c, idx, t) == k
     below_min = Assignment({"x1": "0", "x2": "0", "x3": "0"})
     # the minimum itself has rank 1; nothing is below it
     assert rank(c, idx, below_min) == 1
-    assert list(enumerate_answers(c, idx, 1, 0)) == []
-    window = list(enumerate_answers(c, idx, 5, 3))
+    assert answers_in(1, 0) == []
+    window = answers_in(5, 3)
     assert window == answers[4:7]
     with pytest.raises(OutOfRangeError):
-        list(enumerate_answers(c, idx, 10, 6))
+        answers_in(10, 6)
     with pytest.raises(OutOfRangeError):
-        enumerate_answers(c, idx, 2, -1)
+        answers_in(2, -1)
     # without a limit the start may be one past the end, not further
-    assert list(enumerate_answers(c, idx, 15)) == []
+    assert answers_in(15) == []
     for start in (0, 16):
         with pytest.raises(OutOfRangeError):
-            enumerate_answers(c, idx, start)
+            answers_in(start)
 
 
 def test_rank_of_absent_tuple_counts_predecessors():

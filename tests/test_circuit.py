@@ -3,7 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import annotated_circuit, example51_db, example51_query, instances
+from conftest import (
+    annotated_circuit,
+    example51_db,
+    example51_query,
+    instances,
+    validate_decomposable,
+    validate_ordered,
+)
 from cqda.circuit import (
     Circuit,
     DecisionGate,
@@ -13,8 +20,6 @@ from cqda.circuit import (
     gate_var_sets,
     load_circuit,
     semantics_bruteforce,
-    validate_decomposable,
-    validate_ordered,
 )
 from cqda.compiler import dpll_compile
 from cqda.errors import CycleDetectedError, TooLargeError

@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import example51_db, example51_query, instances, tree_trie
-from cqda.circuit import BotGate, DecisionGate, ProductGate, validate_decomposable, validate_ordered
+from conftest import (
+    example51_db,
+    example51_query,
+    instances,
+    tree_trie,
+    validate_decomposable,
+    validate_ordered,
+)
+from cqda.circuit import BotGate, DecisionGate, ProductGate
 from cqda.compiler import (
     BinCodec,
     binarize,

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import example51_db, example51_query, instances
+from conftest import example51_db, example51_query, instances, validate_decomposable, validate_ordered
 from cqda import access
 from cqda.access import count, direct_access, preprocess
-from cqda.circuit import circuit_size, semantics_bruteforce, validate_decomposable, validate_ordered
+from cqda.circuit import circuit_size, semantics_bruteforce
 from cqda.compiler import compile_binarized, dpll_compile
 from cqda.errors import NotFreeConnexError
 from cqda.project import CircuitEngine, da_conjunctive, project_circuit

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tree_trie
+from conftest import kth_tuple_bruteforce, select_prefix, tree_trie
 from cqda.errors import OutOfRangeError
 from cqda.relations import (
     Assignment,
@@ -12,11 +12,8 @@ from cqda.relations import (
     Domain,
     Relation,
     VarOrder,
-    extended_union,
     join,
-    kth_tuple_bruteforce,
     lex_compare,
-    select_prefix,
     sort_lex,
 )
 
@@ -26,6 +23,10 @@ D3 = Domain(("a", "b", "c"))
 
 def rel(vars, rows):
     return Relation.from_rows(vars, rows)
+
+
+def assignments(r: Relation) -> set[Assignment]:
+    return {Assignment(zip(r.vars, row)) for row in r.rows}
 
 
 def test_domain_order_is_declaration_order():
@@ -71,30 +72,6 @@ def test_join_example_tables():
         for b in r.rows
     }
     assert {row for row in joined.rows} == {ta + rb for ta in t.rows for rb in r.rows}
-
-
-def test_extended_union_same_vars_is_union():
-    r1 = rel(("x",), [("0",)])
-    r2 = rel(("x",), [("1",)])
-    assert extended_union(r1, r2, D2) == rel(("x",), [("0",), ("1",)])
-
-
-def test_extended_union_pads_missing_side():
-    r1 = rel(("x",), [])
-    r2 = rel(("y",), [("a",)])
-    dom = Domain(("a", "b"))
-    out = extended_union(r1, r2, dom)
-    assert set(out.vars) == {"x", "y"}
-    assert len(out) == 2  # {(x, a) : x in D}
-
-
-def test_extended_union_both_sides():
-    dom = Domain(("a", "b"))
-    r1 = rel(("x",), [("a",)])
-    r2 = rel(("y",), [("a",)])
-    out = extended_union(r1, r2, dom)
-    # {a} x D  union  D x {a}
-    assert len(out) == 3
 
 
 def test_select_prefix():
@@ -181,10 +158,10 @@ def test_join_associative_commutative(instances_seed):
     r3 = rand_rel(("z", "w"))
     ab = join(r1, r2)
     ba = join(r2, r1)
-    assert set(ab.assignments()) == set(ba.assignments())
+    assert assignments(ab) == assignments(ba)
     left = join(join(r1, r2), r3)
     right = join(r1, join(r2, r3))
-    assert set(left.assignments()) == set(right.assignments())
+    assert assignments(left) == assignments(right)
 
 
 @given(random_relation())
