@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from .errors import CycleDetectedError, TooLargeError
+from .errors import CqdaError, TooLargeError
 from .relations import Domain, Relation, VarOrder
 
 DEFAULT_MATERIALISE_BOUND = 1 << 20
@@ -48,8 +48,10 @@ Gate = TopGate | BotGate | DecisionGate | ProductGate
 class Circuit:
     """Append-only gate arena with a single output gate.
 
-    Gates are addressed by index.  Construction is single-threaded; once
-    the output is set the circuit is treated as immutable.
+    Gates are addressed by index.  Ids are children-first: only ``top``,
+    ``bot``, ``add_decision`` and ``add_product`` call ``_add``, and the
+    last two take only existing gates as children.  Construction is
+    single-threaded; the circuit is immutable once the output is set.
     """
 
     def __init__(self, domain: Domain, universe: VarOrder):
@@ -121,32 +123,20 @@ class Circuit:
         return ()
 
     def reachable(self) -> list[int]:
-        """Gates reachable from the output, in topological (children-first) order."""
+        """Gates reachable from the output, in increasing id order.
+
+        Ids are children-first (see ``Circuit``), so one sweep from the
+        output down to id 0 marks every live gate's children.
+        """
         if self.output < 0:
             raise ValueError("circuit has no output")
-        seen: set[int] = set()
-        order: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.output, False)]
-        on_path: set[int] = set()
-        while stack:
-            gid, done = stack.pop()
-            if done:
-                on_path.discard(gid)
-                order.append(gid)
-                continue
-            if gid in seen:
-                continue
-            if gid in on_path:
-                raise CycleDetectedError("gate graph contains a cycle")
-            seen.add(gid)
-            on_path.add(gid)
-            stack.append((gid, True))
-            for child in self.children(gid):
-                if child in on_path:
-                    raise CycleDetectedError("gate graph contains a cycle")
-                if child not in seen:
-                    stack.append((child, False))
-        return order
+        live = bytearray(self.output + 1)
+        live[self.output] = 1
+        for gid in range(self.output, -1, -1):
+            if live[gid]:
+                for child in self.children(gid):
+                    live[child] = 1
+        return list(itertools.compress(range(self.output + 1), live))
 
 
 def circuit_size(c: Circuit) -> int:
@@ -191,6 +181,10 @@ def semantics_bruteforce(c: Circuit, max_tuples: int = DEFAULT_MATERIALISE_BOUND
                 out.add(row + extra)
         return out, vars_now + missing
 
+    def sort_columns(rows: set[tuple], cols: tuple[str, ...]) -> tuple[set[tuple], tuple[str, ...]]:
+        perm = sorted(range(len(cols)), key=cols.__getitem__)
+        return {tuple(row[i] for i in perm) for row in rows}, tuple(cols[i] for i in perm)
+
     rel_rows: dict[int, set[tuple]] = {}
     rel_vars: dict[int, tuple[str, ...]] = {}
     for gid in c.reachable():
@@ -204,11 +198,7 @@ def semantics_bruteforce(c: Circuit, max_tuples: int = DEFAULT_MATERIALISE_BOUND
             rows: set[tuple] = set()
             for value, child in g.edges:
                 crows, cvars = pad(rel_rows[child], rel_vars[child], target)
-                cvars_full = (g.var,) + cvars
-                perm = sorted(range(len(cvars_full)), key=lambda i: cvars_full[i])
-                for row in crows:
-                    full = (value,) + row
-                    rows.add(tuple(full[i] for i in perm))
+                rows |= sort_columns({(value,) + row for row in crows}, (g.var,) + cvars)[0]
                 if len(rows) > max_tuples:
                     raise TooLargeError("materialised relation exceeds the configured bound")
             rel_rows[gid], rel_vars[gid] = rows, tuple(sorted(var_of[gid]))
@@ -216,38 +206,38 @@ def semantics_bruteforce(c: Circuit, max_tuples: int = DEFAULT_MATERIALISE_BOUND
             rows = {()}
             vars_now: tuple[str, ...] = ()
             for child in g.children:
-                crows, cvars = rel_rows[child], rel_vars[child]
-                rows = {a + b for a in rows for b in crows}
-                vars_now = vars_now + cvars
+                rows = {a + b for a in rows for b in rel_rows[child]}
+                vars_now += rel_vars[child]
                 if len(rows) > max_tuples:
                     raise TooLargeError("materialised relation exceeds the configured bound")
-            perm = sorted(range(len(vars_now)), key=lambda i: vars_now[i])
-            rel_rows[gid] = {tuple(row[i] for i in perm) for row in rows}
-            rel_vars[gid] = tuple(sorted(vars_now))
+            rel_rows[gid], rel_vars[gid] = sort_columns(rows, vars_now)
 
-    out_rows, out_vars = pad(rel_rows[c.output], rel_vars[c.output], frozenset(c.universe))
+    out_rows, out_vars = sort_columns(*pad(rel_rows[c.output], rel_vars[c.output], frozenset(c.universe)))
     if len(out_rows) > max_tuples:
         raise TooLargeError("materialised relation exceeds the configured bound")
-    perm = sorted(range(len(out_vars)), key=lambda i: out_vars[i])
-    return Relation(tuple(sorted(out_vars)), frozenset(tuple(row[i] for i in perm) for row in out_rows))
+    return Relation(out_vars, frozenset(out_rows))
 
 
 # --- debug dump --------------------------------------------------------------
 
-def dump_circuit(c: Circuit) -> str:
-    """One gate per line, children before parents; reloadable via ``load_circuit``."""
-    for token in itertools.chain(c.domain.values, c.universe.vars):
+def check_dump_tokens(tokens: Iterable[str]) -> None:
+    """Raise ``CqdaError`` on a value or variable that contains whitespace or ``->``."""
+    for token in tokens:
         if any(ch.isspace() for ch in token) or "->" in token:
-            raise ValueError(f"token {token!r} cannot appear in a circuit dump")
+            raise CqdaError(f"token {token!r} cannot appear in a circuit dump")
+
+
+def dump_circuit(c: Circuit) -> str:
+    """One gate per line, in increasing id order, renumbered from 0."""
+    check_dump_tokens(itertools.chain(c.domain.values, c.universe.vars))
     lines = [
         "domain " + " ".join(c.domain.values),
         "vars " + " ".join(c.universe.vars),
     ]
     order = c.reachable()
     renum = {gid: i for i, gid in enumerate(order)}
-    for gid in order:
+    for i, gid in enumerate(order):
         g = c.gates[gid]
-        i = renum[gid]
         if isinstance(g, TopGate):
             lines.append(f"{i} top")
         elif isinstance(g, BotGate):
@@ -259,36 +249,3 @@ def dump_circuit(c: Circuit) -> str:
             lines.append(f"{i} product " + " ".join(str(renum[ch]) for ch in g.children))
     lines.append(f"output {renum[c.output]}")
     return "\n".join(lines) + "\n"
-
-
-def load_circuit(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 3 or not lines[0].startswith("domain ") or not lines[1].startswith("vars"):
-        raise ValueError("circuit dump must start with domain and vars lines")
-    domain = Domain(tuple(lines[0].split()[1:]))
-    universe = VarOrder(tuple(lines[1].split()[1:]))
-    c = Circuit(domain, universe)
-    ids: dict[str, int] = {}
-    for line in lines[2:]:
-        parts = line.split()
-        if parts[0] == "output":
-            c.set_output(ids[parts[1]])
-            return c
-        name, kind = parts[0], parts[1]
-        if kind == "top":
-            gid = c.top() if c._top is None else c._add(TopGate())
-        elif kind == "bot":
-            gid = c.bot() if c._bot is None else c._add(BotGate())
-        elif kind == "decision":
-            edges = []
-            for item in parts[3:]:
-                value, _, child = item.rpartition("->")
-                edges.append((value, ids[child]))
-            gid = c.add_decision(parts[2], edges)
-        elif kind == "product":
-            gid = c.add_product(ids[p] for p in parts[2:])
-        else:
-            raise ValueError(f"unknown gate kind {kind!r}")
-        ids[name] = gid
-    raise ValueError("circuit dump has no output line")
-

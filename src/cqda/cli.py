@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import hypergraph as hg
 from .access import answer_window
-from .circuit import dump_circuit
+from .circuit import check_dump_tokens, dump_circuit
 from .compiler import compile_binarized, dpll_compile
 from .errors import (
     BudgetExceededError,
@@ -234,13 +234,11 @@ def cmd_compile(args) -> int:
     body = SignedQuery(q.atoms, None)
     budget = _compile_budget()
     if args.no_binarize:
+        check_dump_tokens([*db.domain.values, *order.vars])  # bits and identifiers always pass
         circuit, stats = dpll_compile(body, db, order.reversed(), budget)
     else:
         circuit, _, stats = compile_binarized(body, db, order.reversed(), budget)
-    try:
-        text = dump_circuit(circuit)
-    except ValueError as exc:  # a raw domain value with whitespace or "->" has no dump form
-        raise CqdaError(str(exc)) from exc
+    text = dump_circuit(circuit)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -64,10 +64,6 @@ class NotFreeConnexError(CqdaError):
     """The free variables are not a contiguous leading block of the order."""
 
 
-class CycleDetectedError(CqdaError):
-    """The gate graph is not acyclic."""
-
-
 class TooLargeError(CqdaError):
     """Materialising this relation would exceed the configured bound."""
 

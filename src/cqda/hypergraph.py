@@ -531,42 +531,25 @@ def bhtw_bruteforce(h: Hypergraph, budget: Budget = DEFAULT_BUDGET) -> int:
 
 # --- nest points, nest sets, beta-acyclicity --------------------------------
 
-def _chain_ordered(sets: Iterable[frozenset[str]]) -> bool:
-    chain = sorted(set(sets), key=len)
-    return all(a <= b for a, b in zip(chain, chain[1:]))
-
-
-def is_nest_point(h: Hypergraph, v: str) -> bool:
-    """Whether the edges containing ``v`` form an inclusion chain."""
-    if v not in h.vertices:
-        raise VertexNotFoundError(f"vertex {v} not in hypergraph")
-    return _chain_ordered(e for e in h.edges if v in e)
-
-
-def _drop_vertices(h: Hypergraph, gone: set[str]) -> Hypergraph:
-    edges = tuple(e - gone for e in h.edges if e - gone)
-    return Hypergraph(h.vertices - gone, edges)
-
-
 def beta_elim_order(h: Hypergraph) -> EliminationOrder | None:
     """Greedy nest-point elimination; ``None`` when none exists.
 
-    Removing a vertex never destroys another vertex's nest-point status,
-    so greedy removal is complete: it fails only on hypergraphs with no
-    such order at all.
+    A nest point is a nest set of one vertex.  Removing a vertex never
+    destroys another vertex's nest-point status, so greedy removal is
+    complete: it fails only on hypergraphs with no such order at all.
     """
-    remaining = h
+    verts = tuple(sorted(h.vertices))
+    index = {v: i for i, v in enumerate(verts)}
+    edges = [_mask(index, e) for e in h.edges]
+    remaining = (1 << len(verts)) - 1
     seq = []
-    while remaining.vertices:
-        pick = None
-        for v in sorted(remaining.vertices):
-            if is_nest_point(remaining, v):
-                pick = v
-                break
+    while remaining:
+        sub = [e & remaining for e in edges if e & remaining]
+        pick = next((i for i in range(len(verts)) if remaining >> i & 1 and _nest_ok(sub, 1 << i)), None)
         if pick is None:
             return None
-        seq.append(pick)
-        remaining = _drop_vertices(remaining, {pick})
+        seq.append(verts[pick])
+        remaining &= ~(1 << pick)
     return VarOrder(tuple(seq))
 
 

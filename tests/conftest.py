@@ -1,5 +1,5 @@
 """Shared fixtures: the worked examples, random instance generators, and the
-checks and oracles that more than one test file uses."""
+checks, oracles and loaders that more than one test file uses."""
 
 from __future__ import annotations
 
@@ -99,6 +99,39 @@ def validate_ordered(c: Circuit, order: VarOrder) -> bool:
             if min(vs, key=order.position) != g.var:
                 return False
     return True
+
+
+def load_circuit(text: str) -> Circuit:
+    """The circuit a ``dump_circuit`` text describes, one gate per line in line order."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if len(lines) < 3 or not lines[0].startswith("domain ") or not lines[1].startswith("vars"):
+        raise ValueError("circuit dump must start with domain and vars lines")
+    domain = Domain(tuple(lines[0].split()[1:]))
+    universe = VarOrder(tuple(lines[1].split()[1:]))
+    c = Circuit(domain, universe)
+    ids: dict[str, int] = {}
+    for line in lines[2:]:
+        parts = line.split()
+        if parts[0] == "output":
+            c.set_output(ids[parts[1]])
+            return c
+        name, kind = parts[0], parts[1]
+        if kind == "top":
+            gid = c.top()
+        elif kind == "bot":
+            gid = c.bot()
+        elif kind == "decision":
+            edges = []
+            for item in parts[3:]:
+                value, _, child = item.rpartition("->")
+                edges.append((value, ids[child]))
+            gid = c.add_decision(parts[2], edges)
+        elif kind == "product":
+            gid = c.add_product(ids[p] for p in parts[2:])
+        else:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        ids[name] = gid
+    raise ValueError("circuit dump has no output line")
 
 
 def select_prefix(r: Relation, tau: Mapping[str, str]) -> Relation:

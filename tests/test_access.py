@@ -242,13 +242,8 @@ def test_frontier_identity(inst):
                 assert selected == 0
                 continue
             product = 1
-            mask_vars = set()
             for gid in f.gates:
                 product *= idx.rel_count[gid]
-                g = circuit.gates[gid]
-                sub = Circuit(circuit.domain, circuit.universe)
-                sub.gates = circuit.gates
-                sub.set_output(gid)
             free = len(universe) - p - sum(
                 bin(idx.var_mask[g]).count("1") for g in f.gates
             )

@@ -8,23 +8,25 @@ from conftest import (
     example51_db,
     example51_query,
     instances,
+    load_circuit,
     validate_decomposable,
     validate_ordered,
 )
 from cqda.circuit import (
+    BotGate,
     Circuit,
     DecisionGate,
     ProductGate,
+    TopGate,
     circuit_size,
     dump_circuit,
     gate_var_sets,
-    load_circuit,
     semantics_bruteforce,
 )
-from cqda.compiler import dpll_compile
-from cqda.errors import CycleDetectedError, TooLargeError
-from cqda.query import SignedQuery, eval_bruteforce
-from cqda.relations import Domain, VarOrder
+from cqda.compiler import binarize, dpll_compile
+from cqda.errors import TooLargeError
+from cqda.query import SignedQuery, eval_bruteforce, parse_query
+from cqda.relations import Database, Domain, Relation, VarOrder
 
 
 def top_only(universe=("x",), dom=("0", "1", "2")):
@@ -105,14 +107,45 @@ def test_add_decision_checks_edges_without_sorting():
         c.add_decision("y", [("0", top)])
 
 
-def test_cycle_detection():
-    c = Circuit(Domain(("0", "1")), VarOrder(("x", "y")))
-    g = c.add_decision("x", [("0", c.top())])
-    # force a cycle by hand
-    c.gates[g] = DecisionGate("x", (("0", g),))
-    c.set_output(g)
-    with pytest.raises(CycleDetectedError):
-        c.reachable()
+def assert_reachable_is_children_first(circuit):
+    # oracle: what a depth-first search from the output reaches
+    seen, stack = set(), [circuit.output]
+    while stack:
+        gid = stack.pop()
+        if gid not in seen:
+            seen.add(gid)
+            stack.extend(circuit.children(gid))
+    order = circuit.reachable()
+    assert len(order) == len(seen) and set(order) == seen
+    assert all(a < b for a, b in zip(order, order[1:]))
+    position = {gid: i for i, gid in enumerate(order)}
+    assert all(position[child] < position[gid] for gid in order for child in circuit.children(gid))
+
+
+@given(instances(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_reachable_lists_what_the_output_reaches_in_increasing_ids(inst, binarized):
+    q, db, order = inst.query, inst.db, inst.order
+    if binarized:
+        db, q, order, _ = binarize(db, q, order)
+    circuit, _ = dpll_compile(q, db, order.reversed())
+    assert_reachable_is_children_first(circuit)
+
+
+def test_reachable_skips_gates_the_compiler_left_unreachable():
+    # at x=a the R component is built before the S/N component turns out empty
+    db = Database(
+        Domain(("a", "b")),
+        {
+            "R": Relation.from_rows(("c0", "c1"), [("a", "a"), ("b", "b")]),
+            "S": Relation.from_rows(("c0", "c1"), [("a", "a"), ("b", "a")]),
+            "N": Relation.from_rows(("c0", "c1"), [("a", "a")]),
+        },
+    )
+    q = parse_query("Q(*) :- R(x,y), S(x,z), !N(x,z).")
+    circuit, _ = dpll_compile(q, db, VarOrder(("x", "y", "z")).reversed())
+    assert len(circuit.reachable()) < len(circuit.gates)
+    assert_reachable_is_children_first(circuit)
 
 
 def test_too_large_guard():
@@ -173,21 +206,35 @@ def test_semantics_invariant_under_renumbering(inst):
     q, db = inst.query, inst.db
     circuit, _ = dpll_compile(q, db, inst.order.reversed())
     rng = random.Random(5)
-    ids = list(range(len(circuit.gates)))
-    # renumber while keeping children before parents is not required by
-    # semantics; shuffle and remap all references
-    perm = ids[:]
-    rng.shuffle(perm)
-    mapping = {old: new for new, old in enumerate(perm)}
+    # a random children-first renumbering: rebuild the gates through the
+    # API, each time taking a random gate whose children are all rebuilt
+    parents = {gid: [] for gid in range(len(circuit.gates))}
+    waiting = {}
+    for gid in parents:
+        kids = set(circuit.children(gid))
+        waiting[gid] = len(kids)
+        for child in kids:
+            parents[child].append(gid)
+    ready = [gid for gid, n in waiting.items() if not n]
     fresh = Circuit(circuit.domain, circuit.universe)
-    fresh.gates = [None] * len(ids)
-    for old, g in enumerate(circuit.gates):
-        if isinstance(g, DecisionGate):
-            g = DecisionGate(g.var, tuple((v, mapping[ch]) for v, ch in g.edges))
-        elif isinstance(g, ProductGate):
-            g = ProductGate(tuple(mapping[ch] for ch in g.children))
-        fresh.gates[mapping[old]] = g
-    fresh.output = mapping[circuit.output]
+    mapping = {}
+    while ready:
+        old = ready.pop(rng.randrange(len(ready)))
+        g = circuit.gates[old]
+        if isinstance(g, TopGate):
+            mapping[old] = fresh.top()
+        elif isinstance(g, BotGate):
+            mapping[old] = fresh.bot()
+        elif isinstance(g, DecisionGate):
+            mapping[old] = fresh.add_decision(g.var, [(v, mapping[ch]) for v, ch in g.edges])
+        else:
+            mapping[old] = fresh.add_product(mapping[ch] for ch in g.children)
+        for parent in parents[old]:
+            waiting[parent] -= 1
+            if not waiting[parent]:
+                ready.append(parent)
+    assert sorted(mapping.values()) == list(range(len(circuit.gates)))
+    fresh.set_output(mapping[circuit.output])
     assert semantics_bruteforce(fresh).rows == semantics_bruteforce(circuit).rows
 
 

@@ -195,7 +195,7 @@ def test_compile_command_writes_dump_and_stats(files, capsys, tmp_path):
     stats = json.loads(out)
     assert stats["cache_hits"] >= 1 and stats["edges"] > 0
     from cqda.access import count, preprocess
-    from cqda.circuit import load_circuit
+    from conftest import load_circuit
 
     circuit = load_circuit(out_file.read_text())
     assert count(circuit, preprocess(circuit)) == 8
@@ -211,6 +211,21 @@ def test_compile_rejects_a_raw_value_the_dump_cannot_carry(tmp_path, files, caps
     assert err == f"error: token {value!r} cannot appear in a circuit dump\n"
     # binarized, the circuit's domain is the bits, so the same database compiles
     assert run(capsys, "compile", str(db), query)[0] == 0
+
+
+def test_compile_checks_a_raw_value_before_compiling(tmp_path, files, capsys, monkeypatch):
+    from cqda import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled a database the dump cannot carry")
+
+    _, query = files
+    db = tmp_path / "odd.json"
+    db.write_text(json.dumps({**EX51_DB, "domain": EX51_DB["domain"] + ["a->b"]}))
+    monkeypatch.setattr(cli, "dpll_compile", refuse)
+    code, out, err = run(capsys, "compile", str(db), query, "--no-binarize")
+    assert (code, out) == (1, "")
+    assert err == "error: token 'a->b' cannot appear in a circuit dump\n"
 
 
 def test_parse_error_exit_code(files, capsys, tmp_path):

@@ -22,7 +22,6 @@ from cqda.hypergraph import (
     fhow_width,
     fractional_cover_number,
     how_width,
-    is_nest_point,
     nsw_bruteforce,
     show_width,
     sfhow_width,
@@ -158,9 +157,9 @@ def test_bhtw_bruteforce():
 
 def test_nest_points():
     single = Hypergraph.of("ab", [{"a", "b"}])
-    assert is_nest_point(single, "a")
+    assert is_nest_set(single, {"a"})
     for v in "abc":
-        assert not is_nest_point(TRIANGLE, v)
+        assert not is_nest_set(TRIANGLE, {v})
     assert beta_elim_order(TRIANGLE) is None
 
     star_full = Hypergraph.of("0123", [{"0", "1"}, {"0", "2"}, {"0", "3"}, {"0", "1", "2", "3"}])
@@ -170,15 +169,37 @@ def test_nest_points():
     assert _valid_beta_order(star_full, VarOrder(("1", "2", "3", "0")))
 
 
-def _valid_beta_order(h, order):
-    from cqda.hypergraph import _drop_vertices
+def _drop(h, gone):
+    return Hypergraph(h.vertices - gone, tuple(e - gone for e in h.edges if e - gone))
 
+
+def _valid_beta_order(h, order):
     gone = set()
     for v in order:
-        if not is_nest_point(_drop_vertices(h, gone), v):
+        if not is_nest_set(_drop(h, gone), {v}):
             return False
         gone.add(v)
     return True
+
+
+def beta_greedy_on_sets(h):
+    """Set-based greedy: repeatedly drop the least vertex that is a nest point."""
+    seq = []
+    while h.vertices:
+        pick = next((v for v in sorted(h.vertices) if is_nest_set(h, {v})), None)
+        if pick is None:
+            return None
+        seq.append(pick)
+        h = _drop(h, {pick})
+    return VarOrder(tuple(seq))
+
+
+@given(hypergraphs(max_vertices=6, max_edges=5))
+@settings(max_examples=200, deadline=None)
+def test_beta_elim_order_matches_the_set_based_greedy(h):
+    order = beta_elim_order(h)
+    assert order == beta_greedy_on_sets(h)
+    assert order is None or _valid_beta_order(h, order)
 
 
 def test_nest_sets():

@@ -2,16 +2,19 @@
 
 Checks and oracles that only tests call live in ``tests/`` (``conftest.py``
 when several test files share them).  A public top-level function or class
-of ``src/cqda`` therefore needs a word-boundary reference elsewhere in the
-package (its own definition does not count), in ``scripts/`` or in
-``perfbench/``, or an import in the acceptance suite, whose names are the
-package's contract.  ``KEPT`` lists the few exceptions, each with its reason.
+of ``src/cqda`` therefore needs a reference in the code elsewhere in the
+package (its own definition, comments and docstrings do not count), in
+``scripts/`` or in ``perfbench/``, or an import in the acceptance suite,
+whose names are the package's contract.  ``KEPT`` lists the few
+exceptions, each with its reason.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,10 +27,23 @@ KEPT = {
 }
 
 
-def _without_definition(text: str, node: ast.AST) -> str:
-    lines = text.splitlines()
-    start = min([node.lineno] + [d.lineno for d in node.decorator_list])
-    return "\n".join(lines[: start - 1] + lines[node.end_lineno :])
+def _code_words(text: str) -> list[tuple[int, str]]:
+    """``(line, word)`` for each word of the code: comments and docstrings left out."""
+    docstrings = {
+        (node.body[0].lineno, node.body[0].col_offset)
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
+    return [
+        (tok.start[0], word)
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+        if tok.type != tokenize.COMMENT and not (tok.type == tokenize.STRING and tok.start in docstrings)
+        for word in re.findall(r"\w+", tok.string)
+    ]
 
 
 def test_every_public_definition_has_a_caller_outside_the_tests():
@@ -43,6 +59,7 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cqda"
         for alias in node.names
     }
+    words = {path: _code_words(text) for path, text in sources.items()}
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(sources[path]).body:
@@ -50,10 +67,11 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
                 continue
             if node.name in contract or node.name in KEPT:
                 continue
-            word = re.compile(rf"\b{node.name}\b")
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
             if not any(
-                word.search(_without_definition(text, node) if other == path else text)
-                for other, text in sources.items()
+                word == node.name and not (other == path and start <= line <= node.end_lineno)
+                for other, found in words.items()
+                for line, word in found
             ):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, f"only tests use these; move them to tests/: {unused}"
