@@ -2,12 +2,12 @@
 """Differential fuzzing: both engines against the brute-force oracle.
 
 Generates random signed queries and databases, sorts the brute-force
-answers, and checks count, every k-th access and the rank of every
-answer for the circuit engine (raw and binarized) and the
-subtraction-based reduction engine.  Each instance is also given a head,
-a random prefix of its significance order, and the projected query is
-checked the same way on the two circuit engines, which project while
-they compile.
+answers, and checks count, one seeded window ``answers(start, limit)``,
+every k-th access and the rank of every answer for the circuit engine
+(raw and binarized) and the subtraction-based reduction engine.  Each
+instance is also given a head, a random prefix of its significance
+order, and the projected query is checked the same way on the two
+circuit engines, which project while they compile.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ def main() -> None:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
+    windows = random.Random(f"windows {args.seed}")  # apart from rng, so the instances stay the same
     accesses = 0
     for trial in range(args.iterations):
         inst = make_instance(rng, args.max_vars, args.max_atoms, args.max_dom)
@@ -59,6 +60,10 @@ def main() -> None:
             oracle = sort_lex(eval_bruteforce(query, db), answer_order, db.domain)
             if engine.count() != len(oracle):
                 fail(trial, query, f"{name} count {engine.count()} != {len(oracle)}")
+            start = windows.randint(1, len(oracle) + 1)
+            limit = windows.randint(0, len(oracle) - start + 1)
+            if list(engine.answers(start, limit)) != oracle[start - 1:start - 1 + limit]:
+                fail(trial, query, f"{name} answers({start}, {limit}) differs from the oracle slice")
             for k, expected in enumerate(oracle, 1):
                 got = engine.kth(k)
                 accesses += 1

@@ -6,7 +6,8 @@ direct access then walks the circuit's universe (significance order,
 most significant variable first), maintaining the frontier of gates
 compatible with the bound prefix and answering one counting query per
 variable.  All counts are exact Python integers, so nothing overflows
-even when they exceed machine words.
+even when they exceed machine words.  ``Provider`` is the contract
+every engine meets, and the one place answer windows are served.
 """
 
 from __future__ import annotations
@@ -28,21 +29,6 @@ class AccessIndex:
     rel_count: dict[int, int]
     var_mask: dict[int, int]
     prefix_counts: dict[int, list[int]]      # decision gate -> running counts per edge
-
-
-@dataclass(frozen=True)
-class Frontier:
-    """Pairwise variable-disjoint gates compatible with a bound prefix.
-
-    ``gates`` is ``None`` when the prefix reached a Bot gate or a missing
-    decision edge, meaning no extension of the prefix is an answer.
-    """
-
-    gates: tuple[int, ...] | None
-
-    @property
-    def empty(self) -> bool:
-        return self.gates is None
 
 
 def preprocess(c: Circuit) -> AccessIndex:
@@ -104,14 +90,14 @@ def _expand(c: Circuit, gates: Iterator[int] | list[int]) -> tuple[int, ...] | N
     return tuple(out)
 
 
-def frontier(c: Circuit, idx: AccessIndex, tau: Mapping[str, str]) -> Frontier:
-    """Gates left after committing a prefix assignment of the universe.
+def frontier(c: Circuit, idx: AccessIndex, tau: Mapping[str, str]) -> tuple[int, ...] | None:
+    """Pairwise variable-disjoint gates left after committing a prefix assignment of the universe.
 
     Starting from the output, product gates dissolve into their sinks;
     the bound variables are taken in universe order, and the frontier's
     decision gate on each is crossed along the matching edge.  A missing
-    edge or a Bot gate empties the frontier; a value outside the domain
-    raises ``ValueError``.
+    edge or a Bot gate gives ``None``: no extension of the prefix is an
+    answer.  A value outside the domain raises ``ValueError``.
     """
     prefix = c.universe.vars[: len(tau)]
     if set(prefix) != set(tau):
@@ -125,7 +111,7 @@ def frontier(c: Circuit, idx: AccessIndex, tau: Mapping[str, str]) -> Frontier:
             if isinstance(g, DecisionGate) and g.var == x:
                 gates = _cross(c, gates, gid, _edge_child(c, g, tau[x]))
                 break
-    return Frontier(gates)
+    return gates
 
 
 def _cross(c: Circuit, gates: tuple[int, ...], gid: int, child: int | None) -> tuple[int, ...] | None:
@@ -253,3 +239,16 @@ def answer_window(total: int, start: int = 1, limit: int | None = None) -> range
         raise OutOfRangeError(f"window {start}..{start + limit - 1} outside 1..{total}")
     return range(start, start + limit)
 
+
+class Provider:
+    """The direct-access contract every engine meets.
+
+    An engine has a ``universe`` (the significance order of its answers)
+    and a ``domain``, and answers ``count()``, ``kth(k)`` (1-based, in
+    lexicographic order) and ``rank_of(t)`` (the number of answers at
+    most ``t``).  ``answers`` is defined once, here, on top of ``kth``.
+    """
+
+    def answers(self, start: int = 1, limit: int | None = None) -> Iterator[Assignment]:
+        """Answers ``start .. start+limit-1``; raises before yielding if the window is out of range."""
+        return map(self.kth, answer_window(self.count(), start, limit))

@@ -12,6 +12,7 @@ subcircuit.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from collections.abc import Iterable
 
@@ -19,6 +20,7 @@ from .errors import CqdaError, TooLargeError
 from .relations import Domain, Relation, VarOrder
 
 DEFAULT_MATERIALISE_BOUND = 1 << 20
+_child = operator.itemgetter(1)  # the child id of a ``(value, child)`` decision edge
 
 
 @dataclass(frozen=True)
@@ -114,34 +116,43 @@ class Circuit:
             raise ValueError("output gate does not exist")
         self.output = gate_id
 
-    def children(self, gate_id: int) -> tuple[int, ...]:
+    def children(self, gate_id: int) -> Iterable[int]:
+        """Child ids of a gate, read off its edges without building a tuple."""
         g = self.gates[gate_id]
         if isinstance(g, DecisionGate):
-            return tuple(child for _, child in g.edges)
-        if isinstance(g, ProductGate):
-            return g.children
-        return ()
+            return map(_child, g.edges)
+        return g.children if isinstance(g, ProductGate) else ()
 
     def reachable(self) -> list[int]:
         """Gates reachable from the output, in increasing id order.
 
         Ids are children-first (see ``Circuit``), so one sweep from the
-        output down to id 0 marks every live gate's children.
+        output down to id 0 marks every live gate's children.  Every pass
+        over a circuit starts with this sweep, so it reads the edges in
+        place instead of calling ``children``.
         """
         if self.output < 0:
             raise ValueError("circuit has no output")
+        gates = self.gates
         live = bytearray(self.output + 1)
         live[self.output] = 1
         for gid in range(self.output, -1, -1):
             if live[gid]:
-                for child in self.children(gid):
-                    live[child] = 1
+                g = gates[gid]
+                if isinstance(g, DecisionGate):
+                    for _, child in g.edges:
+                        live[child] = 1
+                elif isinstance(g, ProductGate):
+                    for child in g.children:
+                        live[child] = 1
         return list(itertools.compress(range(self.output + 1), live))
 
 
 def circuit_size(c: Circuit) -> int:
     """Number of edges of the DAG reachable from the output."""
-    return sum(len(c.children(g)) for g in c.reachable())
+    gates = [c.gates[gid] for gid in c.reachable()]
+    decisions = sum(len(g.edges) for g in gates if isinstance(g, DecisionGate))
+    return decisions + sum(len(g.children) for g in gates if isinstance(g, ProductGate))
 
 
 def gate_var_sets(c: Circuit) -> dict[int, frozenset[str]]:
@@ -163,7 +174,8 @@ def semantics_bruteforce(c: Circuit, max_tuples: int = DEFAULT_MATERIALISE_BOUND
 
     Bottom-up evaluation; decision branches are padded with all values of
     the variables their subcircuit does not mention, and the output is
-    padded to the full universe the same way.
+    padded to the full universe the same way.  A gate's rows hold its
+    decision variables (``gate_var_sets``) in sorted order.
     """
     domain = c.domain
     var_of = gate_var_sets(c)
@@ -181,41 +193,41 @@ def semantics_bruteforce(c: Circuit, max_tuples: int = DEFAULT_MATERIALISE_BOUND
                 out.add(row + extra)
         return out, vars_now + missing
 
-    def sort_columns(rows: set[tuple], cols: tuple[str, ...]) -> tuple[set[tuple], tuple[str, ...]]:
+    def sort_columns(rows: set[tuple], cols: tuple[str, ...]) -> set[tuple]:
+        """The rows with their columns permuted into sorted name order."""
         perm = sorted(range(len(cols)), key=cols.__getitem__)
-        return {tuple(row[i] for i in perm) for row in rows}, tuple(cols[i] for i in perm)
+        return {tuple(row[i] for i in perm) for row in rows}
 
     rel_rows: dict[int, set[tuple]] = {}
-    rel_vars: dict[int, tuple[str, ...]] = {}
     for gid in c.reachable():
         g = c.gates[gid]
         if isinstance(g, BotGate):
-            rel_rows[gid], rel_vars[gid] = set(), ()
+            rel_rows[gid] = set()
         elif isinstance(g, TopGate):
-            rel_rows[gid], rel_vars[gid] = {()}, ()
+            rel_rows[gid] = {()}
         elif isinstance(g, DecisionGate):
             target = var_of[gid] - {g.var}
             rows: set[tuple] = set()
             for value, child in g.edges:
-                crows, cvars = pad(rel_rows[child], rel_vars[child], target)
-                rows |= sort_columns({(value,) + row for row in crows}, (g.var,) + cvars)[0]
+                crows, cvars = pad(rel_rows[child], tuple(sorted(var_of[child])), target)
+                rows |= sort_columns({(value,) + row for row in crows}, (g.var,) + cvars)
                 if len(rows) > max_tuples:
                     raise TooLargeError("materialised relation exceeds the configured bound")
-            rel_rows[gid], rel_vars[gid] = rows, tuple(sorted(var_of[gid]))
+            rel_rows[gid] = rows
         else:
             rows = {()}
             vars_now: tuple[str, ...] = ()
             for child in g.children:
                 rows = {a + b for a in rows for b in rel_rows[child]}
-                vars_now += rel_vars[child]
+                vars_now += tuple(sorted(var_of[child]))
                 if len(rows) > max_tuples:
                     raise TooLargeError("materialised relation exceeds the configured bound")
-            rel_rows[gid], rel_vars[gid] = sort_columns(rows, vars_now)
+            rel_rows[gid] = sort_columns(rows, vars_now)
 
-    out_rows, out_vars = sort_columns(*pad(rel_rows[c.output], rel_vars[c.output], frozenset(c.universe)))
+    out_rows = sort_columns(*pad(rel_rows[c.output], tuple(sorted(var_of[c.output])), frozenset(c.universe)))
     if len(out_rows) > max_tuples:
         raise TooLargeError("materialised relation exceeds the configured bound")
-    return Relation(out_vars, frozenset(out_rows))
+    return Relation(tuple(sorted(c.universe)), frozenset(out_rows))
 
 
 # --- debug dump --------------------------------------------------------------

@@ -25,11 +25,12 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict
 from fractions import Fraction
 
 from . import hypergraph as hg
-from .access import answer_window
+from .access import Provider
 from .circuit import check_dump_tokens, dump_circuit
 from .compiler import compile_binarized, dpll_compile
 from .errors import (
@@ -39,7 +40,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .project import da_conjunctive
-from .query import SignedQuery, hypergraph_of, parse_query
+from .query import SignedQuery, check_compatible, hypergraph_of, parse_query
 from .reduction import signed_da_via_reduction
 from .relations import Assignment, Database, Domain, Relation, VarOrder
 
@@ -118,13 +119,9 @@ def _emit(obj, pretty: bool) -> None:
     print(json.dumps(obj, indent=2 if pretty else None, sort_keys=False))
 
 
-def _occurrence_order(q: SignedQuery) -> list[str]:
-    seen: list[str] = []
-    for atom in q.atoms:
-        for v in atom.args:
-            if v not in seen:
-                seen.append(v)
-    return seen
+def _names(spec: str) -> list[str]:
+    """The names of a comma-separated list, blanks dropped."""
+    return [s for s in (part.strip() for part in spec.split(",")) if s]
 
 
 def resolve_order(q: SignedQuery, spec: str | None) -> VarOrder:
@@ -134,14 +131,14 @@ def resolve_order(q: SignedQuery, spec: str | None) -> VarOrder:
     the box; an explicit order over exactly the free set is completed
     with the remaining variables in occurrence order.
     """
-    occurrence = _occurrence_order(q)
+    occurrence = list(dict.fromkeys(v for atom in q.atoms for v in atom.args))  # first occurrences, in order
     if spec is None:
         if q.free is None:
             return VarOrder(tuple(occurrence))
         head = [v for v in occurrence if v in q.free]
         tail = [v for v in occurrence if v not in q.free]
         return VarOrder(tuple(head + tail))
-    names = [s for s in (part.strip() for part in spec.split(",")) if s]
+    names = _names(spec)
     if len(set(names)) != len(names):
         raise CqdaError("--order repeats a variable")
     given = set(names)
@@ -153,8 +150,20 @@ def resolve_order(q: SignedQuery, spec: str | None) -> VarOrder:
     raise CqdaError("--order must list the query variables (or exactly the free ones)")
 
 
-def _build_engine(args, q: SignedQuery, db: Database, order: VarOrder):
-    budget = _compile_budget()
+def _engine(args, check: Callable[[SignedQuery, Database], None] | None = None) -> Provider:
+    """Load both files, apply ``--free``, resolve the order and build the engine.
+
+    ``check(q, db)`` runs before the build, so a bad argument fails
+    before anything is compiled.
+    """
+    q = load_query(args.query)
+    db = load_database(args.db)
+    if getattr(args, "free", None) is not None:
+        q = SignedQuery(q.atoms, frozenset(_names(args.free)))
+    order = resolve_order(q, args.order)
+    if check is not None:
+        check(q, db)
+    budget = _budget(None)
     if getattr(args, "engine", "circuit") == "reduction":
         if q.free is not None:
             raise CqdaError("the reduction engine answers join queries only")
@@ -162,10 +171,11 @@ def _build_engine(args, q: SignedQuery, db: Database, order: VarOrder):
     return da_conjunctive(q, db, order, binarize=not args.no_binarize, budget=budget)
 
 
-def _budget() -> hg.Budget:
+def _budget(default: hg.Budget | None = hg.DEFAULT_BUDGET) -> hg.Budget | None:
+    """The ``CQDA_BUDGET`` cap, else ``default``; compilation passes ``None`` (not capped)."""
     cap = os.environ.get("CQDA_BUDGET")
     if not cap:
-        return hg.DEFAULT_BUDGET
+        return default
     try:
         states = int(cap)
     except ValueError:
@@ -175,22 +185,11 @@ def _budget() -> hg.Budget:
     return hg.Budget(states)
 
 
-def _compile_budget() -> hg.Budget | None:
-    """The ``CQDA_BUDGET`` cap on compile calls; without it compilation is not capped."""
-    return _budget() if os.environ.get("CQDA_BUDGET") else None
-
-
-def _assignment_json(t: Assignment) -> dict:
-    return dict(t.items())
-
-
 # --- commands -----------------------------------------------------------------
 
 def cmd_width(args) -> int:
     q = load_query(args.query)
     if args.db:
-        from .query import check_compatible
-
         check_compatible(q, load_database(args.db))
     budget = _budget()
     sh = hypergraph_of(q)
@@ -202,28 +201,15 @@ def cmd_width(args) -> int:
         return width
 
     if measure == "nsw":
-        width = hg.nsw_bruteforce(sh.unsigned(), budget=budget)
-        _emit({"measure": measure, "order": None, "width": width, "exact": True}, args.pretty)
-        return 0
-    if args.order:
+        order, width, exact = None, hg.nsw_bruteforce(sh.unsigned(), budget=budget), True
+    elif args.order:
         significance = resolve_order(q, args.order)
-        elimination = significance.reversed()
-        width = hg.width_of_order(sh, measure, elimination, budget)
-        _emit(
-            {"measure": measure, "order": list(significance.vars), "width": encode(width), "exact": True},
-            args.pretty,
-        )
-        return 0
-    elimination, width, exact = hg.best_order(sh, measure, budget)
-    _emit(
-        {
-            "measure": measure,
-            "order": list(elimination.reversed().vars),
-            "width": encode(width),
-            "exact": exact,
-        },
-        args.pretty,
-    )
+        width, exact = hg.width_of_order(sh, measure, significance.reversed(), budget), True
+        order = list(significance.vars)
+    else:
+        elimination, width, exact = hg.best_order(sh, measure, budget)
+        order = list(elimination.reversed().vars)
+    _emit({"measure": measure, "order": order, "width": encode(width), "exact": exact}, args.pretty)
     return 0
 
 
@@ -232,7 +218,7 @@ def cmd_compile(args) -> int:
     db = load_database(args.db)
     order = resolve_order(q, args.order)
     body = SignedQuery(q.atoms, None)
-    budget = _compile_budget()
+    budget = _budget(None)
     if args.no_binarize:
         check_dump_tokens([*db.domain.values, *order.vars])  # bits and identifiers always pass
         circuit, stats = dpll_compile(body, db, order.reversed(), budget)
@@ -250,68 +236,50 @@ def cmd_compile(args) -> int:
 
 
 def cmd_count(args) -> int:
-    q = load_query(args.query)
-    db = load_database(args.db)
-    engine = _build_engine(args, q, db, resolve_order(q, args.order))
-    _emit({"count": str(engine.count())}, args.pretty)
+    _emit({"count": str(_engine(args).count())}, args.pretty)
     return 0
 
 
 def cmd_access(args) -> int:
-    q = load_query(args.query)
-    db = load_database(args.db)
-    engine = _build_engine(args, q, db, resolve_order(q, args.order))
-    _emit(_assignment_json(engine.kth(args.k)), args.pretty)
+    _emit(dict(_engine(args).kth(args.k)), args.pretty)
     return 0
 
 
 def cmd_rank(args) -> int:
-    q = load_query(args.query)
-    db = load_database(args.db)
-    order = resolve_order(q, args.order)
     try:
         doc = json.loads(args.tuple)
     except json.JSONDecodeError as exc:
         raise CqdaError(f"--tuple must be a JSON object: {exc}") from exc
     if not isinstance(doc, dict):
         raise CqdaError("--tuple must be a JSON object")
-    answer_vars = q.variables if q.free is None else q.free
-    if set(doc) != answer_vars:
-        raise CqdaError(f"--tuple must bind exactly {sorted(answer_vars)}")
-    for value in doc.values():
-        if not isinstance(value, str):
-            raise CqdaError(f"--tuple value {value!r} is not a string")
-        if value not in db.domain:
-            raise CqdaError(f"--tuple value {value!r} outside the domain")
-    engine = _build_engine(args, q, db, order)
-    _emit({"rank": str(engine.rank_of(Assignment(doc)))}, args.pretty)
+
+    def check(q: SignedQuery, db: Database) -> None:
+        answer_vars = q.variables if q.free is None else q.free
+        if set(doc) != answer_vars:
+            raise CqdaError(f"--tuple must bind exactly {sorted(answer_vars)}")
+        for value in doc.values():
+            if not isinstance(value, str):
+                raise CqdaError(f"--tuple value {value!r} is not a string")
+            if value not in db.domain:
+                raise CqdaError(f"--tuple value {value!r} outside the domain")
+
+    _emit({"rank": str(_engine(args, check).rank_of(Assignment(doc)))}, args.pretty)
     return 0
 
 
 def cmd_enumerate(args) -> int:
-    q = load_query(args.query)
-    db = load_database(args.db)
-    engine = _build_engine(args, q, db, resolve_order(q, args.order))
-    for k in answer_window(engine.count(), args.start, args.limit):
-        _emit(_assignment_json(engine.kth(k)), args.pretty)
+    for t in _engine(args).answers(args.start, args.limit):
+        _emit(dict(t), args.pretty)
     return 0
 
 
 def cmd_project(args) -> int:
-    q = load_query(args.query)
-    db = load_database(args.db)
-    free = frozenset(s for s in (part.strip() for part in args.free.split(",")) if s)
-    q = SignedQuery(q.atoms, free)
-    engine = _build_engine(args, q, db, resolve_order(q, args.order))
+    """``access``, ``count`` or ``enumerate`` on the query with its head set by ``--free``."""
     if args.k is not None:
-        _emit(_assignment_json(engine.kth(args.k)), args.pretty)
-        return 0
+        return cmd_access(args)
     if args.count:
-        _emit({"count": str(engine.count())}, args.pretty)
-        return 0
-    for t in engine.answers():
-        _emit(_assignment_json(t), args.pretty)
-    return 0
+        return cmd_count(args)
+    return cmd_enumerate(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-binarize", action="store_true")
     p.add_argument("--k", type=int, help="return only the k-th projected answer")
     p.add_argument("--count", action="store_true", help="print only the count")
-    p.set_defaults(func=cmd_project)
+    p.set_defaults(func=cmd_project, start=1, limit=None)
 
     return parser
 

@@ -20,7 +20,7 @@ prefix, equivalently an elimination-order suffix.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import access as acc
@@ -63,13 +63,14 @@ def project_circuit(c: Circuit, idx: acc.AccessIndex, keep: int) -> Circuit:
 
 
 @dataclass(eq=False)
-class CircuitEngine:
+class CircuitEngine(acc.Provider):
     """Direct access handle over the answers of one compiled query.
 
     ``universe`` is the significance order of the answer variables
     (the free variables when the query had a head).  Counting, k-th
-    answer, ranking and enumeration all run on the preprocessed circuit;
-    binarized pipelines decode bit tuples transparently.
+    answer and ranking run on the preprocessed circuit, and
+    ``answers`` windows over ``kth``; binarized pipelines decode bit
+    tuples transparently.
     """
 
     universe: VarOrder
@@ -93,11 +94,6 @@ class CircuitEngine:
         if self.codec is not None:
             t = self.codec.encode_assignment(t)
         return acc.rank(self.circuit, self.index, t)
-
-    def answers(self, start: int = 1, limit: int | None = None) -> Iterator[Assignment]:
-        """Answers ``start .. start+limit-1``; raises before yielding if the window is out of range."""
-        window = acc.answer_window(self.count(), start, limit)
-        return (self.kth(k) for k in window)
 
 
 def da_conjunctive(

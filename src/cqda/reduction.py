@@ -4,60 +4,66 @@ This is a second, independent engine used to cross-validate the circuit
 pipeline.  It peels negated atoms one at a time: answers with atom
 ``!R`` equal answers without it minus answers with ``R`` made positive,
 and set difference lifts to direct access through ranking plus binary
-search.  Every provider answers ``count()``, ``kth(k)`` and
-``rank_of(t)`` over a common universe and significance order, the same
-contract as ``CircuitEngine``.  A base provider's ``rank_of`` is
-``access.rank_by_kth`` over its own ``kth``; a difference ranks by
-subtracting its two sides' ranks.  Providers memoise ``kth`` because
-the nested binary searches revisit indices heavily.
+search.  Every node of the peel, a positive base engine or a
+difference, is wrapped in one memo of ``count`` and ``kth``, because
+the nested binary searches revisit indices heavily; the nodes meet the
+``access.Provider`` contract of ``CircuitEngine``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
-from .access import rank_by_kth
+from .access import Provider, rank_by_kth
 from .errors import OutOfRangeError
 from .hypergraph import Budget
 from .project import da_conjunctive
 from .query import SignedQuery
-from .relations import Assignment, Database, Domain, VarOrder
+from .relations import Assignment, Database, VarOrder
 
 
-@dataclass(frozen=True)
-class QnnSpec:
-    """Choice of negated atoms to flip positive (`n1`) and to keep (`n2`)."""
+class _Memo(Provider):
+    """A provider with ``count`` and ``kth`` memoised.
 
-    n1: frozenset[int]
-    n2: frozenset[int]
-
-    def __post_init__(self):
-        if self.n1 & self.n2:
-            raise ValueError("flipped and kept atom sets must be disjoint")
-
-
-@dataclass(eq=False)
-class SubtractedProvider:
-    """Direct access to ``S2 minus S1`` given providers for S1 subset of S2.
-
-    The k-th element is found by binary search over ranks of S2: a
-    candidate at S2-rank ``r`` has difference-rank ``r`` minus its
-    S1-rank, and that difference is nondecreasing in ``r``.  As S1 lies
-    inside S2, any tuple's rank is its S2-rank minus its S1-rank.
+    A difference ranks by subtracting its two sides' ranks; any other
+    provider ranks by binary search over the memoised ``kth``, whose
+    first probes are the same for every tuple.
     """
 
-    big: object
-    small: object
-    _kth_cache: dict[int, Assignment] = field(default_factory=dict)
+    def __init__(self, inner):
+        self.inner, self.universe, self.domain = inner, inner.universe, inner.domain
+        self._count = inner.count()
+        self._kth: dict[int, Assignment] = {}
 
-    @property
-    def universe(self) -> VarOrder:
-        return self.big.universe
+    def count(self) -> int:
+        return self._count
 
-    @property
-    def domain(self) -> Domain:
-        return self.big.domain
+    def kth(self, k: int) -> Assignment:
+        got = self._kth.get(k)
+        if got is None:
+            got = self._kth[k] = self.inner.kth(k)
+        return got
+
+    def rank_of(self, t: Mapping[str, str]) -> int:
+        if isinstance(self.inner, Difference):
+            return self.inner.rank_of(t)
+        return rank_by_kth(self.kth, self._count, t, self.universe, self.domain)
+
+
+class Difference(Provider):
+    """``big`` minus ``small``, for providers with ``small`` inside ``big``.
+
+    The k-th element is found by binary search over ranks of ``big``: a
+    candidate at big-rank ``r`` has difference-rank ``r`` minus its
+    small-rank, and that difference is nondecreasing in ``r``.  As
+    ``small`` lies inside ``big``, any tuple's rank is its big-rank
+    minus its small-rank.  Nothing is cached here: the engine wraps
+    every difference in the same memo as its base providers.
+    """
+
+    def __init__(self, big: Provider, small: Provider):
+        self.big, self.small = big, small
+        self.universe, self.domain = big.universe, big.domain
 
     def count(self) -> int:
         return self.big.count() - self.small.count()
@@ -65,88 +71,42 @@ class SubtractedProvider:
     def kth(self, k: int) -> Assignment:
         if not 1 <= k <= self.count():
             raise OutOfRangeError(f"k out of range (count={self.count()})")
-        hit = self._kth_cache.get(k)
-        if hit is not None:
-            return hit
         lo, hi = 1, self.big.count()
         while lo < hi:
             mid = (lo + hi) // 2
-            t = self.big.kth(mid)
-            if mid - self.small.rank_of(t) >= k:
+            if mid - self.small.rank_of(self.big.kth(mid)) >= k:
                 hi = mid
             else:
                 lo = mid + 1
-        result = self.big.kth(lo)
-        self._kth_cache[k] = result
-        return result
+        return self.big.kth(lo)
 
     def rank_of(self, t: Mapping[str, str]) -> int:
         return self.big.rank_of(t) - self.small.rank_of(t)
 
 
-class _MemoProvider:
-    """Memoising wrapper so repeated binary-search probes hit a dict."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.universe = inner.universe
-        self.domain = inner.domain
-        self._count: int | None = None
-        self._kth: dict[int, Assignment] = {}
-
-    def count(self) -> int:
-        if self._count is None:
-            self._count = self.inner.count()
-        return self._count
-
-    def kth(self, k: int) -> Assignment:
-        got = self._kth.get(k)
-        if got is None:
-            got = self.inner.kth(k)
-            self._kth[k] = got
-        return got
-
-    def rank_of(self, t: Mapping[str, str]) -> int:
-        return rank_by_kth(self.kth, self.count(), t, self.universe, self.domain)
-
-
 def positive_part(q: SignedQuery, flipped: frozenset[int]) -> SignedQuery:
     """The positive query keeping ``flipped`` negated atoms as positives."""
-    negatives = [i for i, a in enumerate(q.atoms) if not a.positive]
-    drop = set(negatives) - flipped
-    atoms = tuple(
-        a.as_positive() if i in flipped else a
-        for i, a in enumerate(q.atoms)
-        if i not in drop
-    )
+    atoms = tuple(a.as_positive() for i, a in enumerate(q.atoms) if a.positive or i in flipped)
     return SignedQuery(atoms, None)
-
-
-def qnn_da(spec: QnnSpec, base):
-    """Provider for the query with ``n1`` flipped positive and ``n2`` kept.
-
-    Recurses on the kept set: keeping ``!R`` means subtracting, from the
-    answers without the atom, the answers with ``R`` positive.  ``base``
-    builds a provider for any purely positive combination.  No pair
-    ``(n1, n2)`` occurs twice in the recursion, so nothing is memoised
-    across calls.
-    """
-    if not spec.n2:
-        return _MemoProvider(base(spec.n1))
-    r = max(spec.n2)
-    rest = spec.n2 - {r}
-    keep = qnn_da(QnnSpec(spec.n1, rest), base)
-    flip = qnn_da(QnnSpec(spec.n1 | {r}, rest), base)
-    return SubtractedProvider(keep, flip)
 
 
 def signed_da_via_reduction(
     q: SignedQuery, db: Database, order: VarOrder, *, binarize: bool = True, budget: Budget | None = None
-):
-    """End-to-end second engine: every negated atom peeled by subtraction; ``budget`` caps each compile."""
+) -> Provider:
+    """End-to-end second engine: every negated atom peeled by subtraction; ``budget`` caps each compile.
 
-    def base(flipped: frozenset[int]):
-        return da_conjunctive(positive_part(q, flipped), db, order, binarize=binarize, budget=budget)
+    ``peel(flipped, kept)`` answers the query with the negated atoms in
+    ``flipped`` made positive, those in ``kept`` kept negative and the
+    others dropped.  Keeping ``!R`` means subtracting, from the answers
+    without the atom, the answers with ``R`` positive.  The two sets are
+    disjoint by construction, and no pair occurs twice in the recursion.
+    """
 
-    negatives = frozenset(i for i, a in enumerate(q.atoms) if not a.positive)
-    return qnn_da(QnnSpec(frozenset(), negatives), base)
+    def peel(flipped: frozenset[int], kept: frozenset[int]) -> Provider:
+        if not kept:
+            return _Memo(da_conjunctive(positive_part(q, flipped), db, order, binarize=binarize, budget=budget))
+        r = max(kept)
+        rest = kept - {r}
+        return _Memo(Difference(peel(flipped, rest), peel(flipped | {r}, rest)))
+
+    return peel(frozenset(), frozenset(i for i, a in enumerate(q.atoms) if not a.positive))

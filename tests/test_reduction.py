@@ -9,13 +9,7 @@ from cqda.access import rank_by_kth
 from cqda.errors import OutOfRangeError
 from cqda.project import da_conjunctive
 from cqda.query import SignedQuery, eval_bruteforce
-from cqda.reduction import (
-    QnnSpec,
-    SubtractedProvider,
-    positive_part,
-    qnn_da,
-    signed_da_via_reduction,
-)
+from cqda.reduction import Difference, positive_part, signed_da_via_reduction
 from cqda.relations import Assignment, Domain, Relation, VarOrder, sort_lex
 
 
@@ -79,10 +73,10 @@ def test_rank_via_da_matches_bruteforce_count():
 def test_subtract_identity_and_empty():
     square = provider(full_square())
     nothing = provider([])
-    same = SubtractedProvider(square, nothing)
+    same = Difference(square, nothing)
     assert same.count() == 9
     assert [same.kth(k) for k in range(1, 10)] == [square.kth(k) for k in range(1, 10)]
-    gone = SubtractedProvider(square, provider(full_square()))
+    gone = Difference(square, provider(full_square()))
     assert gone.count() == 0
     with pytest.raises(OutOfRangeError):
         gone.kth(1)
@@ -91,7 +85,7 @@ def test_subtract_identity_and_empty():
 def test_subtract_diagonal():
     square = provider(full_square())
     diag = provider([(v, v) for v in D3.values])
-    diff = SubtractedProvider(square, diag)
+    diff = Difference(square, diag)
     assert diff.count() == 6
     expected = sort_lex(
         Relation.from_rows(("x", "y"), [r for r in full_square() if r[0] != r[1]]), XY, D3
@@ -107,15 +101,10 @@ def test_subtract_matches_set_difference(seed):
         tuple(rng.choice(D3.values) for _ in range(2)) for _ in range(rng.randint(0, 9))
     }
     small_rows = {r for r in big_rows if rng.random() < 0.5}
-    diff = SubtractedProvider(provider(sorted(big_rows)), provider(sorted(small_rows)))
+    diff = Difference(provider(sorted(big_rows)), provider(sorted(small_rows)))
     expected = sort_lex(Relation.from_rows(("x", "y"), big_rows - small_rows), XY, D3)
     assert diff.count() == len(expected)
     assert [diff.kth(k) for k in range(1, diff.count() + 1)] == expected
-
-
-def test_qnn_spec_disjointness():
-    with pytest.raises(ValueError):
-        QnnSpec(frozenset({1}), frozenset({1}))
 
 
 def test_positive_part(ex51):
@@ -137,23 +126,16 @@ def test_signed_da_equals_circuit_engine(ex51):
         assert red.kth(k) == eng.kth(k)
 
 
-def test_qnn_base_and_flip_cases(ex51):
+def test_positive_parts_alone_and_flipped(ex51):
+    # no kept negatives: the engine serves the positive part alone
     q, db, order = ex51
     neg = frozenset(i for i, a in enumerate(q.atoms) if not a.positive)
-
-    def base(flipped):
-        return da_conjunctive(positive_part(q, flipped), db, order)
-
-    # no kept negatives: provider for the positive part alone
-    plain = qnn_da(QnnSpec(frozenset(), frozenset()), base)
-    oracle = sort_lex(eval_bruteforce(positive_part(q, frozenset()), db), order, db.domain)
-    assert plain.count() == len(oracle)
-
-    # flipped negative: conjunction with the atom made positive
-    flipped = qnn_da(QnnSpec(neg, frozenset()), base)
-    oracle = sort_lex(eval_bruteforce(positive_part(q, neg), db), order, db.domain)
-    assert flipped.count() == len(oracle)
-    assert [flipped.kth(k) for k in range(1, flipped.count() + 1)] == oracle
+    for flipped in (frozenset(), neg):
+        positive = positive_part(q, flipped)
+        engine = signed_da_via_reduction(positive, db, order)
+        oracle = sort_lex(eval_bruteforce(positive, db), order, db.domain)
+        assert engine.count() == len(oracle)
+        assert [engine.kth(k) for k in range(1, engine.count() + 1)] == oracle
 
 
 @given(instances(max_vars=4, max_atoms=3, max_dom=3))
@@ -182,50 +164,53 @@ def test_reduction_rank_of_inverts_kth_and_matches_circuit(inst, seed):
     assert red.rank_of(t) == eng.rank_of(t)
 
 
+def split_query(q: SignedQuery, flipped: frozenset[int], kept: frozenset[int]) -> SignedQuery:
+    """``q`` with the negated atoms in ``flipped`` made positive, those in ``kept`` kept, the rest dropped."""
+    return SignedQuery(
+        tuple(
+            a.as_positive() if i in flipped else a
+            for i, a in enumerate(q.atoms)
+            if a.positive or i in flipped | kept
+        )
+    )
+
+
 @given(instances(max_vars=3, max_atoms=3, max_dom=3, max_tuples=5))
 @settings(max_examples=20, deadline=None)
-def test_every_qnn_combination_matches_bruteforce(inst):
-    # direct access for the query also answers every flipped/kept split:
-    # peel kept atoms off with subtractions rooted at signed engines
+def test_every_flipped_kept_split_matches_bruteforce(inst):
+    # each split through the reduction engine, and again with the flipped
+    # atoms peeled off by differences rooted at signed circuit engines
     q, db, order = inst.query, inst.db, inst.order
     negatives = [i for i, a in enumerate(q.atoms) if not a.positive]
 
-    def signed_engine(n1: frozenset[int], n2: frozenset[int]):
-        # engine for the signed query with n1 flipped, n2 kept negative
-        atoms = tuple(
-            a.as_positive() if i in n1 else a
-            for i, a in enumerate(q.atoms)
-            if a.positive or i in n1 | n2
-        )
-        return da_conjunctive(SignedQuery(atoms), db, order)
-
-    def provider_for(n1: frozenset[int], n2: frozenset[int]):
-        if not n1:
-            return signed_engine(n1, n2)
-        r = max(n1)
-        rest = n1 - {r}
-        return SubtractedProvider(provider_for(rest, n2), provider_for(rest, n2 | {r}))
+    def peeled(flipped: frozenset[int], kept: frozenset[int]):
+        if not flipped:
+            return da_conjunctive(split_query(q, flipped, kept), db, order)
+        r = max(flipped)
+        rest = flipped - {r}
+        return Difference(peeled(rest, kept), peeled(rest, kept | {r}))
 
     for take in range(len(negatives) + 1):
-        for n1 in map(frozenset, itertools.combinations(negatives, take)):
-            n2 = frozenset(negatives) - n1
-            got = provider_for(n1, n2)
-            oracle = sort_lex(
-                eval_bruteforce(positive_part(q, n1), db)
-                if not n2
-                else eval_bruteforce(
-                    SignedQuery(
-                        tuple(
-                            a.as_positive() if i in n1 else a
-                            for i, a in enumerate(q.atoms)
-                            if a.positive or i in n1 | n2
-                        )
-                    ),
-                    db,
-                ),
-                order,
-                db.domain,
-            )
-            assert got.count() == len(oracle)
-            for k, expected in enumerate(oracle, 1):
-                assert got.kth(k) == expected
+        for flipped in map(frozenset, itertools.combinations(negatives, take)):
+            kept = frozenset(negatives) - flipped
+            split = split_query(q, flipped, kept)
+            oracle = sort_lex(eval_bruteforce(split, db), order, db.domain)
+            for got in (signed_da_via_reduction(split, db, order), peeled(flipped, kept)):
+                assert got.count() == len(oracle)
+                assert [got.kth(k) for k in range(1, got.count() + 1)] == oracle
+
+
+@pytest.mark.parametrize("engine", ["circuit", "reduction"])
+def test_answers_window_equals_kth_and_is_checked_before_yielding(ex51, engine):
+    q, db, order = ex51
+    handle = signed_da_via_reduction(q, db, order) if engine == "reduction" else da_conjunctive(q, db, order)
+    everything = [handle.kth(k) for k in range(1, handle.count() + 1)]
+    assert len(everything) == 8
+    assert list(handle.answers()) == everything
+    for start in range(1, 10):
+        assert list(handle.answers(start)) == everything[start - 1:]
+        for limit in range(0, 10 - start):
+            assert list(handle.answers(start, limit)) == everything[start - 1:start - 1 + limit]
+    for start, limit in ((7, 5), (0, 2), (9, 1), (2, -1), (10, None)):
+        with pytest.raises(OutOfRangeError):
+            handle.answers(start, limit)
