@@ -7,12 +7,16 @@ every k-th access and the rank of every answer for the circuit engine
 (raw and binarized) and the subtraction-based reduction engine.  Each
 instance is also given a head, a random prefix of its significance
 order, and the projected query is checked the same way on the two
-circuit engines, which project while they compile.
+circuit engines, which project while they compile.  Every instance's
+database is first written as a JSON document and read back through the
+command-line loader, which must rebuild it exactly; the engines run on
+the database it returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 
@@ -20,6 +24,7 @@ sys.path.insert(0, "tests")
 
 from conftest import make_instance  # noqa: E402
 
+from cqda.cli import database_from_dict  # noqa: E402
 from cqda.project import da_conjunctive  # noqa: E402
 from cqda.query import SignedQuery, eval_bruteforce  # noqa: E402
 from cqda.reduction import signed_da_via_reduction  # noqa: E402
@@ -46,7 +51,17 @@ def main() -> None:
     accesses = 0
     for trial in range(args.iterations):
         inst = make_instance(rng, args.max_vars, args.max_atoms, args.max_dom)
-        q, db, order = inst.query, inst.db, inst.order
+        q, order = inst.query, inst.order
+        doc = {
+            "domain": list(inst.db.domain.values),
+            "relations": {
+                name: {"arity": len(rel.vars), "tuples": [list(row) for row in sorted(rel.rows)]}
+                for name, rel in inst.db.relations.items()
+            },
+        }
+        db = database_from_dict(json.loads(json.dumps(doc)))
+        if db.domain != inst.db.domain or db.relations != inst.db.relations:
+            fail(trial, q, "the loaded database differs from the generated one")
         keep = rng.randint(0, len(order))
         head, prefix = SignedQuery(q.atoms, frozenset(order.vars[:keep])), VarOrder(order.vars[:keep])
         runs = {

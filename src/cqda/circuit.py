@@ -156,17 +156,17 @@ def circuit_size(c: Circuit) -> int:
 
 
 def gate_var_sets(c: Circuit) -> dict[int, frozenset[str]]:
-    """Decision variables reachable from each reachable gate."""
-    var_of: dict[int, frozenset[str]] = {}
+    """Decision variables reachable from each reachable gate, built as bitmasks and decoded once per mask."""
+    bit = {v: 1 << i for i, v in enumerate(c.universe.vars)}
+    mask: dict[int, int] = {}
     for gid in c.reachable():
         g = c.gates[gid]
-        acc: frozenset[str] = frozenset()
+        m = bit[g.var] if isinstance(g, DecisionGate) else 0
         for child in c.children(gid):
-            acc |= var_of[child]
-        if isinstance(g, DecisionGate):
-            acc |= {g.var}
-        var_of[gid] = acc
-    return var_of
+            m |= mask[child]
+        mask[gid] = m
+    decoded = {m: frozenset(v for v, b in bit.items() if m & b) for m in set(mask.values())}
+    return {gid: decoded[m] for gid, m in mask.items()}
 
 
 def semantics_bruteforce(c: Circuit, max_tuples: int = DEFAULT_MATERIALISE_BOUND) -> Relation:

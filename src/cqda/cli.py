@@ -25,7 +25,6 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -47,16 +46,23 @@ from .relations import Assignment, Database, Domain, Relation, VarOrder
 
 # --- file formats -------------------------------------------------------------
 
+_MAX_ARITY = 1 << 16  # far above any atom; columns are named before a query is read, and 10**9 would exhaust memory
+
+
 def database_from_dict(doc: dict) -> Database:
+    """The database a JSON document describes; only the document's shape is checked here.
+
+    ``Domain``, ``Relation`` and ``Database`` check what it holds; their errors become ``DatabaseFormatError``.
+    """
     if not isinstance(doc, dict) or "domain" not in doc or "relations" not in doc:
         raise DatabaseFormatError("database document needs 'domain' and 'relations'")
     domain_values = doc["domain"]
     if not isinstance(domain_values, list) or not all(isinstance(v, str) for v in domain_values):
         raise DatabaseFormatError("'domain' must be a list of strings")
-    if len(set(domain_values)) != len(domain_values):
-        raise DatabaseFormatError("domain values must be distinct")
-    domain = Domain(tuple(domain_values))
-    known = frozenset(domain_values)
+    try:
+        domain = Domain(tuple(domain_values))
+    except ValueError as exc:  # a repeated value
+        raise DatabaseFormatError(str(exc)) from exc
     if not isinstance(doc["relations"], dict):
         raise DatabaseFormatError("'relations' must be an object mapping names to relations")
     relations: dict[str, Relation] = {}
@@ -64,24 +70,24 @@ def database_from_dict(doc: dict) -> Database:
         if not isinstance(spec, dict) or "arity" not in spec or "tuples" not in spec:
             raise DatabaseFormatError(f"relation {name} needs 'arity' and 'tuples'")
         arity = spec["arity"]
-        if type(arity) is not int or arity < 1:  # bool is an int subclass, but not an arity
+        if type(arity) is not int or not 1 <= arity <= _MAX_ARITY:  # bool is an int subclass, but not an arity
             raise DatabaseFormatError(f"relation {name} has invalid arity")
-        if not isinstance(spec["tuples"], list):
+        tuples = spec["tuples"]
+        if not isinstance(tuples, list):
             raise DatabaseFormatError(f"relation {name}: 'tuples' must be a list")
-        rows = set()
-        for row in spec["tuples"]:
-            if not isinstance(row, list) or len(row) != arity:
-                raise DatabaseFormatError(f"relation {name}: tuple width differs from arity")
-            try:
-                inside = known.issuperset(row)
-            except TypeError:  # an unhashable cell, so not a domain value
-                inside = False
-            if not inside:
-                value = next(v for v in row if not isinstance(v, str) or v not in known)
-                raise DatabaseFormatError(f"relation {name}: value {value!r} outside the domain")
-            rows.add(tuple(row))  # duplicates collapse silently: relations are sets
-        relations[name] = Relation(tuple(f"c{j}" for j in range(arity)), frozenset(rows))
-    return Database(domain, relations)
+        if not all(isinstance(row, list) for row in tuples):
+            raise DatabaseFormatError(f"relation {name}: tuple width differs from arity")
+        try:  # duplicates collapse silently: relations are sets
+            relations[name] = Relation(tuple(f"c{j}" for j in range(arity)), frozenset(map(tuple, tuples)))
+        except TypeError:  # an unhashable cell, so not a domain value
+            value = next(v for row in tuples for v in row if not isinstance(v, str) or v not in domain)
+            raise DatabaseFormatError(f"relation {name}: value {value!r} outside the domain") from None
+        except ValueError as exc:  # a row of another width
+            raise DatabaseFormatError(f"relation {name}: tuple width differs from arity") from exc
+    try:
+        return Database(domain, relations)
+    except ValueError as exc:  # a value outside the domain, worded as above
+        raise DatabaseFormatError(str(exc)) from exc
 
 
 def load_database(path: str) -> Database:
@@ -150,19 +156,17 @@ def resolve_order(q: SignedQuery, spec: str | None) -> VarOrder:
     raise CqdaError("--order must list the query variables (or exactly the free ones)")
 
 
-def _engine(args, check: Callable[[SignedQuery, Database], None] | None = None) -> Provider:
-    """Load both files, apply ``--free``, resolve the order and build the engine.
-
-    ``check(q, db)`` runs before the build, so a bad argument fails
-    before anything is compiled.
-    """
+def _inputs(args) -> tuple[SignedQuery, Database, VarOrder]:
+    """Load both files, apply ``--free`` and resolve the order."""
     q = load_query(args.query)
     db = load_database(args.db)
     if getattr(args, "free", None) is not None:
         q = SignedQuery(q.atoms, frozenset(_names(args.free)))
-    order = resolve_order(q, args.order)
-    if check is not None:
-        check(q, db)
+    return q, db, resolve_order(q, args.order)
+
+
+def _engine(args, q: SignedQuery, db: Database, order: VarOrder) -> Provider:
+    """The engine ``--engine`` and ``--no-binarize`` select, built on the inputs."""
     budget = _budget(None)
     if getattr(args, "engine", "circuit") == "reduction":
         if q.free is not None:
@@ -214,9 +218,7 @@ def cmd_width(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    q = load_query(args.query)
-    db = load_database(args.db)
-    order = resolve_order(q, args.order)
+    q, db, order = _inputs(args)
     body = SignedQuery(q.atoms, None)
     budget = _budget(None)
     if args.no_binarize:
@@ -236,12 +238,12 @@ def cmd_compile(args) -> int:
 
 
 def cmd_count(args) -> int:
-    _emit({"count": str(_engine(args).count())}, args.pretty)
+    _emit({"count": str(_engine(args, *_inputs(args)).count())}, args.pretty)
     return 0
 
 
 def cmd_access(args) -> int:
-    _emit(dict(_engine(args).kth(args.k)), args.pretty)
+    _emit(dict(_engine(args, *_inputs(args)).kth(args.k)), args.pretty)
     return 0
 
 
@@ -252,23 +254,21 @@ def cmd_rank(args) -> int:
         raise CqdaError(f"--tuple must be a JSON object: {exc}") from exc
     if not isinstance(doc, dict):
         raise CqdaError("--tuple must be a JSON object")
-
-    def check(q: SignedQuery, db: Database) -> None:
-        answer_vars = q.variables if q.free is None else q.free
-        if set(doc) != answer_vars:
-            raise CqdaError(f"--tuple must bind exactly {sorted(answer_vars)}")
-        for value in doc.values():
-            if not isinstance(value, str):
-                raise CqdaError(f"--tuple value {value!r} is not a string")
-            if value not in db.domain:
-                raise CqdaError(f"--tuple value {value!r} outside the domain")
-
-    _emit({"rank": str(_engine(args, check).rank_of(Assignment(doc)))}, args.pretty)
+    q, db, order = _inputs(args)
+    answer_vars = q.variables if q.free is None else q.free
+    if set(doc) != answer_vars:
+        raise CqdaError(f"--tuple must bind exactly {sorted(answer_vars)}")
+    for value in doc.values():
+        if not isinstance(value, str):
+            raise CqdaError(f"--tuple value {value!r} is not a string")
+        if value not in db.domain:
+            raise CqdaError(f"--tuple value {value!r} outside the domain")
+    _emit({"rank": str(_engine(args, q, db, order).rank_of(Assignment(doc)))}, args.pretty)
     return 0
 
 
 def cmd_enumerate(args) -> int:
-    for t in _engine(args).answers(args.start, args.limit):
+    for t in _engine(args, *_inputs(args)).answers(args.start, args.limit):
         _emit(dict(t), args.pretty)
     return 0
 
@@ -286,15 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cqda", description="Signed-query direct access over ordered circuits.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_db=True, with_engine=False):
-        if with_db:
-            p.add_argument("db", help="database JSON file")
+    def common(p, with_engine=False):
+        p.add_argument("db", help="database JSON file")
         p.add_argument("query", help="query file")
         p.add_argument("--order", help="significance order, comma separated (most significant first)")
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
         if with_engine:
             p.add_argument("--engine", choices=("circuit", "reduction"), default="circuit")
-            p.add_argument("--no-binarize", action="store_true", help="compile on the raw domain")
+        p.add_argument("--no-binarize", action="store_true", help="compile on the raw domain")
 
     p = sub.add_parser("width", help="width of a query hypergraph")
     p.add_argument("query", help="query file")
@@ -310,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile a query to a circuit dump")
     common(p)
-    p.add_argument("--no-binarize", action="store_true")
     p.add_argument("--stats", action="store_true", help="also print compile statistics")
     p.add_argument("-o", "--output", help="write the dump here instead of stdout")
     p.set_defaults(func=cmd_compile)
@@ -338,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="answers projected to chosen variables")
     common(p)
     p.add_argument("--free", required=True, help="comma-separated projection variables")
-    p.add_argument("--no-binarize", action="store_true")
     p.add_argument("--k", type=int, help="return only the k-th projected answer")
     p.add_argument("--count", action="store_true", help="print only the count")
     p.set_defaults(func=cmd_project, start=1, limit=None)

@@ -373,7 +373,10 @@ def binarize(
     stored rows, but variables seen only by negated atoms (or by no atom
     at all) would otherwise admit phantom answers.  Such an edge groups
     exactly one variable's bits, so signed widths are unaffected.
+    The query is checked against the source database here, so an arity
+    error names the source arities, not the bit arities.
     """
+    check_compatible(q, db)
     if not q.variables <= set(order.vars):
         raise ValueError("order must cover every query variable")
     codec = BinCodec(db.domain, bits_needed(len(db.domain)), tuple(order.vars))

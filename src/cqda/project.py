@@ -27,7 +27,7 @@ from . import access as acc
 from .circuit import BotGate, Circuit, DecisionGate, TopGate
 from .compiler import BinCodec, CompileStats, compile_binarized, debin_tuple, dpll_compile
 from .hypergraph import Budget
-from .query import SignedQuery, check_compatible
+from .query import SignedQuery
 from .relations import Assignment, Database, Domain, VarOrder
 
 
@@ -112,9 +112,6 @@ def da_conjunctive(
     of ``order``; otherwise the compiler rejects the order as not
     free-connex.  ``budget`` caps the compiler's calls.
     """
-    check_compatible(q, db)
-    if not q.variables <= set(order.vars):
-        raise ValueError("order must cover every query variable")
     answer_order = order if q.free is None else VarOrder(order.vars[: len(q.free)])
     codec: BinCodec | None = None
     if binarize:

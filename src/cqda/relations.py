@@ -198,8 +198,9 @@ class Database:
         known = self.domain._pos.keys()
         for name, rel in self.relations.items():
             if not known >= set(itertools.chain.from_iterable(rel.rows)):
-                value = next(v for row in rel.rows for v in row if v not in known)
-                raise ValueError(f"value {value!r} in {name} outside the domain")
+                # the least by repr, so the message does not depend on the set's hash order
+                value = min((v for row in rel.rows for v in row if v not in known), key=repr)
+                raise ValueError(f"relation {name}: value {value!r} outside the domain")
 
     @property
     def size(self) -> int:

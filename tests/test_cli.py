@@ -36,23 +36,38 @@ def run(capsys, *argv):
 def test_db_rejects_bad_documents():
     from cqda.errors import DatabaseFormatError
 
-    bad = {"domain": ["a", "a"], "relations": {}}
-    with pytest.raises(DatabaseFormatError):
-        database_from_dict(bad)
-    with pytest.raises(DatabaseFormatError):
-        database_from_dict({"domain": ["a"], "relations": {"R": {"arity": 2, "tuples": [["a"]]}}})
-    with pytest.raises(DatabaseFormatError, match="^relation R has invalid arity$"):
-        database_from_dict({"domain": ["a"], "relations": {"R": {"arity": True, "tuples": [["a"]]}}})
+    def rel(arity, *rows):
+        return {"arity": arity, "tuples": list(rows)}
+
+    width = "^relation R: tuple width differs from arity$"
+    cases = [
+        ({"domain": ["a", "a"], "relations": {}}, "^domain values must be distinct$"),
+        # the domain is checked before any relation
+        ({"domain": ["a", "a"], "relations": {"R": rel(2, ["a"])}}, "^domain values must be distinct$"),
+        ({"domain": ["a"], "relations": {"R": rel(2, ["a"])}}, width),
+        ({"domain": ["a"], "relations": {"R": rel(2, ["a", "a"], ["a", "a", "a"])}}, width),
+        ({"domain": ["a"], "relations": {"R": rel(2, ["a", "a"], "aa")}}, width),
+        ({"domain": ["a"], "relations": {"R": rel(True, ["a"])}}, "^relation R has invalid arity$"),
+        # column names are built before any query is read, so a huge arity must not get that far
+        ({"domain": ["a"], "relations": {"R": rel(2**16 + 1)}}, "^relation R has invalid arity$"),
+        ({"domain": ["a"], "relations": {"R": rel(10**9)}}, "^relation R has invalid arity$"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(DatabaseFormatError, match=message):
+            database_from_dict(doc)
+    assert len(database_from_dict({"domain": ["a"], "relations": {"R": rel(2**16)}}).relations["R"].vars) == 2**16
 
 
 @pytest.mark.parametrize("value", ["z", 1, None, ["a"], {"a": "a"}])
 def test_db_names_a_value_outside_the_domain(value):
     from cqda.errors import DatabaseFormatError
 
-    doc = {"domain": ["a", "b"], "relations": {"R": {"arity": 2, "tuples": [["a", "b"], ["b", value]]}}}
-    with pytest.raises(DatabaseFormatError, match="^relation R: value .* outside the domain$") as err:
-        database_from_dict(doc)
-    assert repr(value) in str(err.value)
+    bad = {"arity": 2, "tuples": [["a", "b"], ["b", value]]}
+    good = {"arity": 1, "tuples": [["a"]]}
+    for relations, name in (({"R": bad}, "R"), ({"S": good, "R": bad}, "R"), ({"R": good, "S": bad}, "S")):
+        with pytest.raises(DatabaseFormatError, match=f"^relation {name}: value .* outside the domain$") as err:
+            database_from_dict({"domain": ["a", "b"], "relations": relations})
+        assert repr(value) in str(err.value)
 
 
 def test_count_command(files, capsys):

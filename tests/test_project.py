@@ -9,7 +9,7 @@ from cqda import access
 from cqda.access import count, direct_access, preprocess
 from cqda.circuit import circuit_size, semantics_bruteforce
 from cqda.compiler import compile_binarized, dpll_compile
-from cqda.errors import NotFreeConnexError
+from cqda.errors import ArityMismatchError, NotFreeConnexError
 from cqda.project import CircuitEngine, da_conjunctive, project_circuit
 from cqda.query import SignedQuery, eval_bruteforce, parse_query
 from cqda.relations import Assignment, Database, Domain, Relation, VarOrder, sort_lex
@@ -139,6 +139,15 @@ def test_da_conjunctive_preprocesses_a_projected_query_once(ex51, monkeypatch, b
     engine = da_conjunctive(SignedQuery(q.atoms, frozenset({"x1", "x2"})), db, order, binarize=binarize)
     assert engine.count() == 4
     assert built == [engine.circuit]
+
+
+@pytest.mark.parametrize("binarize", [False, True])
+def test_da_conjunctive_names_the_source_arities(binarize):
+    # four values take two bits, so a binarized R would have arity 4 and the atom 6
+    db = Database(Domain(("a", "b", "c", "d")), {"R": Relation(("c0", "c1"), frozenset({("a", "d")}))})
+    q = parse_query("Q(*) :- R(x, y, z).")
+    with pytest.raises(ArityMismatchError, match="^R has arity 2, atom uses 3$"):
+        da_conjunctive(q, db, VarOrder(("x", "y", "z")), binarize=binarize)
 
 
 def test_dpll_compile_rejects_a_head_that_is_not_an_elimination_suffix(ex51):

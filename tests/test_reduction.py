@@ -10,7 +10,7 @@ from cqda.errors import OutOfRangeError
 from cqda.project import da_conjunctive
 from cqda.query import SignedQuery, eval_bruteforce
 from cqda.reduction import Difference, positive_part, signed_da_via_reduction
-from cqda.relations import Assignment, Domain, Relation, VarOrder, sort_lex
+from cqda.relations import Assignment, Database, Domain, Relation, VarOrder, sort_lex
 
 
 D3 = Domain(("0", "1", "2"))
@@ -214,3 +214,31 @@ def test_answers_window_equals_kth_and_is_checked_before_yielding(ex51, engine):
     for start, limit in ((7, 5), (0, 2), (9, 1), (2, -1), (10, None)):
         with pytest.raises(OutOfRangeError):
             handle.answers(start, limit)
+
+
+@given(instances(max_vars=4, max_atoms=4, max_dom=3), st.data())
+@settings(max_examples=40, deadline=None)
+def test_reduction_answers_survive_atom_order_and_value_names(inst, data):
+    # permuting the atoms changes the order in which the negated atoms are subtracted
+    q, db, order = inst.query, inst.db, inst.order
+    binarize = data.draw(st.booleans(), label="binarize")
+    answers = list(signed_da_via_reduction(q, db, order, binarize=binarize).answers())
+
+    atoms = data.draw(st.permutations(q.atoms), label="atom order")
+    permuted = signed_da_via_reduction(SignedQuery(tuple(atoms)), db, order, binarize=binarize)
+    assert list(permuted.answers()) == answers
+    assert [permuted.rank_of(t) for t in answers] == list(range(1, len(answers) + 1))
+
+    # new names in any string order; the domain keeps its declared order
+    size = len(db.domain)
+    distinct = st.lists(st.text("abz019", min_size=1, max_size=3), min_size=size, max_size=size, unique=True)
+    rename = dict(zip(db.domain.values, data.draw(distinct, label="value names")))
+    renamed_db = Database(
+        Domain(tuple(rename.values())),
+        {symbol: Relation(rel.vars, frozenset(tuple(map(rename.__getitem__, row)) for row in rel.rows))
+         for symbol, rel in db.relations.items()},
+    )
+    renamed = signed_da_via_reduction(q, renamed_db, order, binarize=binarize)
+    moved = [Assignment({v: rename[d] for v, d in t.items()}) for t in answers]
+    assert list(renamed.answers()) == moved
+    assert [renamed.rank_of(t) for t in moved] == list(range(1, len(answers) + 1))

@@ -43,8 +43,11 @@ def test_domain_rank_names_a_value_outside_it():
 
 
 def test_database_names_a_value_outside_the_domain():
-    with pytest.raises(ValueError, match="value 'd' in R outside the domain"):
+    with pytest.raises(ValueError, match="relation R: value 'd' outside the domain"):
         Database(D3, {"S": rel(("c0",), [("a",)]), "R": rel(("c0", "c1"), [("a", "b"), ("c", "d")])})
+    # of several, the least by repr, whatever the set's hash order
+    with pytest.raises(ValueError, match="relation R: value 'd' outside the domain"):
+        Database(D3, {"R": rel(("c0",), [("z",), ("d",), ("q",)])})
     assert Database(D3, {"R": rel(("c0", "c1"), [("a", "b"), ("c", "c")])}).size == 5
 
 
