@@ -4,10 +4,12 @@
 Generates random signed queries and databases, sorts the brute-force
 answers, and checks count, one seeded window ``answers(start, limit)``,
 every k-th access and the rank of every answer for the circuit engine
-(raw and binarized) and the subtraction-based reduction engine.  Each
-instance is also given a head, a random prefix of its significance
-order, and the projected query is checked the same way on the two
-circuit engines, which project while they compile.  Every instance's
+(raw and binarized) and the subtraction-based reduction engine; each
+engine must also refuse ``kth(1.5)`` and a rank tuple with a variable
+beyond its universe with ``ArgumentError``.  Each instance is also
+given a head, a random prefix of its significance order, and the
+projected query is checked the same way on the two circuit engines,
+which project while they compile.  Every instance's
 database is first written as a JSON document and read back through the
 command-line loader, which must rebuild it exactly; the engines run on
 the database it returns.
@@ -25,6 +27,7 @@ sys.path.insert(0, "tests")
 from conftest import make_instance  # noqa: E402
 
 from cqda.cli import database_from_dict  # noqa: E402
+from cqda.errors import ArgumentError  # noqa: E402
 from cqda.project import da_conjunctive  # noqa: E402
 from cqda.query import SignedQuery, eval_bruteforce  # noqa: E402
 from cqda.reduction import signed_da_via_reduction  # noqa: E402
@@ -86,6 +89,17 @@ def main() -> None:
                     fail(trial, query, f"{name} kth({k}) = {dict(got)} != {dict(expected)}")
                 if engine.rank_of(expected) != k:
                     fail(trial, query, f"{name} rank_of({dict(expected)}) = {engine.rank_of(expected)} != {k}")
+            # a float index and a variable beyond the universe are refused alike by every engine
+            extra = {v: db.domain.values[0] for v in answer_order.vars} | {"y": db.domain.values[0]}
+            probes = {"kth(1.5)": lambda: engine.kth(1.5), f"rank_of({extra})": lambda: engine.rank_of(extra)}
+            for probe, call in probes.items():
+                try:
+                    got = call()
+                except ArgumentError:
+                    continue
+                except Exception as exc:  # any other error is a mismatch too
+                    got = exc
+                fail(trial, query, f"{name} {probe} gave {got!r}, not ArgumentError")
     print(f"ok: {args.iterations} instances, {accesses} accesses, engines agree")
 
 

@@ -7,18 +7,18 @@ most significant variable first), maintaining the frontier of gates
 compatible with the bound prefix and answering one counting query per
 variable.  All counts are exact Python integers, so nothing overflows
 even when they exceed machine words.  ``Provider`` is the contract
-every engine meets, and the one place answer windows are served.
+every engine meets: the one place its arguments are checked.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Collection, Iterator, Mapping
 from dataclasses import dataclass
 from functools import partial
 
 from .circuit import BotGate, Circuit, DecisionGate, ProductGate, TopGate
-from .errors import NotAPrefixError, OutOfRangeError, UnsatisfiableError
+from .errors import ArgumentError, NotAPrefixError, OutOfRangeError, UnsatisfiableError
 from .relations import Assignment, Domain, VarOrder, lex_compare
 
 
@@ -70,8 +70,8 @@ def preprocess(c: Circuit) -> AccessIndex:
 
 def count(c: Circuit, idx: AccessIndex) -> int:
     """Number of tuples of the circuit's relation over the full universe."""
-    free = len(c.universe) - idx.var_mask[c.output].bit_count()
-    return idx.rel_count[c.output] * len(c.domain) ** free
+    free = len(c.universe.vars) - idx.var_mask[c.output].bit_count()
+    return idx.rel_count[c.output] * len(c.domain.values) ** free
 
 
 def _expand(c: Circuit, gates: Iterator[int] | list[int]) -> tuple[int, ...] | None:
@@ -195,16 +195,12 @@ def direct_access(c: Circuit, idx: AccessIndex, k: int) -> Assignment:
 def rank_by_kth(
     kth: Callable[[int], Mapping[str, str]], total: int, t: Mapping[str, str], order: VarOrder, domain: Domain
 ) -> int:
-    """Number of tuples at most ``t`` among ``kth(1) .. kth(total)``.
+    """Number of tuples at most ``t``, which binds ``order`` to ``domain``, among ``kth(1) .. kth(total)``.
 
     ``kth`` lists tuples in increasing lexicographic order under
     ``order``; binary search over it gives the 1-based rank of ``t``
     when listed, else the rank of the largest listed tuple below it.
     """
-    if set(t) != set(order.vars):
-        raise ValueError("rank needs a tuple over the full universe")
-    for value in t.values():
-        domain.rank(value)  # raises ValueError for a value outside the domain
     lo, hi = 0, total
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -220,18 +216,26 @@ def rank(c: Circuit, idx: AccessIndex, t: Mapping[str, str]) -> int:
     return rank_by_kth(partial(direct_access, c, idx), count(c, idx), t, c.universe, c.domain)
 
 
+def _int(value: object, name: str) -> int:
+    """``value`` if it is an ``int`` and not a ``bool`` (the loader's rule for an arity), else ``ArgumentError``."""
+    if type(value) is not int:
+        raise ArgumentError(f"{name} must be an int, not {value!r}")
+    return value
+
+
 def answer_window(total: int, start: int = 1, limit: int | None = None) -> range:
-    """Indices ``start .. start+limit-1``, checked against ``1..total``.
+    """Indices ``start .. start+limit-1``, checked to be ``int`` and inside ``1..total``.
 
     Without ``limit`` the window runs to the last answer, and ``start``
     may be ``total + 1`` for the empty tail.  Callers check the window
     before producing any answer, so a bad window yields none.
     """
+    _int(start, "window start")
     if limit is None:
         if not 1 <= start <= total + 1:
             raise OutOfRangeError(f"window start {start} outside 1..{total + 1}")
         limit = total - start + 1
-    if limit < 0:
+    if _int(limit, "window limit") < 0:
         raise OutOfRangeError(f"window limit {limit} is negative")
     if limit == 0:
         return range(0)
@@ -240,15 +244,36 @@ def answer_window(total: int, start: int = 1, limit: int | None = None) -> range
     return range(start, start + limit)
 
 
-class Provider:
-    """The direct-access contract every engine meets.
+def check_tuple(t: object, variables: Collection[str], domain: Domain) -> Mapping[str, str]:
+    """``t`` if it maps exactly ``variables`` to ``str`` values in ``domain``, else ``ArgumentError``."""
+    if not isinstance(t, Mapping) or t.keys() != set(variables):
+        raise ArgumentError(f"tuple must bind exactly {sorted(variables)}")
+    for value in t.values():
+        if not isinstance(value, str) or value not in domain:  # str first: a list is unhashable
+            raise ArgumentError(f"tuple value {value!r} outside the domain")
+    return t
 
-    An engine has a ``universe`` (the significance order of its answers)
-    and a ``domain``, and answers ``count()``, ``kth(k)`` (1-based, in
-    lexicographic order) and ``rank_of(t)`` (the number of answers at
-    most ``t``).  ``answers`` is defined once, here, on top of ``kth``.
+
+class Provider:
+    """The direct-access contract every engine meets, with its arguments checked once, here.
+
+    An engine has a ``universe`` (the significance order of its answers) and a ``domain``,
+    and defines ``count()`` and the hooks ``_kth`` and ``_rank_of``, which trust their
+    arguments.  ``kth(k)`` (1-based, lexicographic), ``rank_of(t)`` (answers at most ``t``)
+    and ``answers(start, limit)`` take an index or window bound that is an ``int`` and not a
+    ``bool``, and a tuple binding exactly the universe's variables to ``str`` values in the
+    domain.  Else they raise ``ArgumentError``, a ``ValueError`` (CLI exit 1), or past the
+    answers ``OutOfRangeError`` (CLI exit 2).
     """
+
+    def kth(self, k: int) -> Assignment:
+        if not 1 <= _int(k, "k") <= self.count():
+            raise OutOfRangeError(f"k out of range (count={self.count()})")
+        return self._kth(k)
+
+    def rank_of(self, t: Mapping[str, str]) -> int:
+        return self._rank_of(check_tuple(t, self.universe.vars, self.domain))
 
     def answers(self, start: int = 1, limit: int | None = None) -> Iterator[Assignment]:
         """Answers ``start .. start+limit-1``; raises before yielding if the window is out of range."""
-        return map(self.kth, answer_window(self.count(), start, limit))
+        return map(self._kth, answer_window(self.count(), start, limit))

@@ -29,19 +29,14 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import hypergraph as hg
-from .access import Provider
+from .access import Provider, check_tuple
 from .circuit import check_dump_tokens, dump_circuit
 from .compiler import compile_binarized, dpll_compile
-from .errors import (
-    BudgetExceededError,
-    CqdaError,
-    DatabaseFormatError,
-    OutOfRangeError,
-)
+from .errors import BudgetExceededError, CqdaError, DatabaseFormatError, OutOfRangeError
 from .project import da_conjunctive
 from .query import SignedQuery, check_compatible, hypergraph_of, parse_query
 from .reduction import signed_da_via_reduction
-from .relations import Assignment, Database, Domain, Relation, VarOrder
+from .relations import Database, Domain, Relation, VarOrder
 
 
 # --- file formats -------------------------------------------------------------
@@ -252,18 +247,9 @@ def cmd_rank(args) -> int:
         doc = json.loads(args.tuple)
     except json.JSONDecodeError as exc:
         raise CqdaError(f"--tuple must be a JSON object: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CqdaError("--tuple must be a JSON object")
     q, db, order = _inputs(args)
-    answer_vars = q.variables if q.free is None else q.free
-    if set(doc) != answer_vars:
-        raise CqdaError(f"--tuple must bind exactly {sorted(answer_vars)}")
-    for value in doc.values():
-        if not isinstance(value, str):
-            raise CqdaError(f"--tuple value {value!r} is not a string")
-        if value not in db.domain:
-            raise CqdaError(f"--tuple value {value!r} outside the domain")
-    _emit({"rank": str(_engine(args, q, db, order).rank_of(Assignment(doc)))}, args.pretty)
+    check_tuple(doc, q.variables if q.free is None else q.free, db.domain)  # before the engine, whose build may fail
+    _emit({"rank": str(_engine(args, q, db, order).rank_of(doc))}, args.pretty)
     return 0
 
 

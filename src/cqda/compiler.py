@@ -323,10 +323,7 @@ class BinCodec:
         object.__setattr__(self, "bit_names", names)
 
     def encode_value(self, value: str) -> tuple[str, ...]:
-        bits = self.codes.get(value)
-        if bits is None:
-            raise ValueError(f"value {value!r} outside the domain")
-        return bits
+        return self.codes[value]
 
     def decode_value(self, bits_lsb: tuple[str, ...]) -> str:
         value = self.values.get(tuple(bits_lsb))
@@ -337,13 +334,9 @@ class BinCodec:
         return value
 
     def encode_assignment(self, tau: Mapping[str, str]) -> Assignment:
-        out: dict[str, str] = {}
-        for var, value in tau.items():
-            names = self.bit_names.get(var)
-            if names is None:
-                raise ValueError(f"variable {var!r} is not encoded by this codec")
-            out.update(zip(names, self.encode_value(value)))
-        return Assignment(out)
+        """The bits of ``tau``, whose variables and values ``access.Provider`` has checked."""
+        names, encode = self.bit_names, self.encode_value
+        return Assignment(pair for var, value in tau.items() for pair in zip(names[var], encode(value)))
 
 
 def _bits(code: int, width: int) -> tuple[str, ...]:

@@ -40,6 +40,10 @@ class OutOfRangeError(CqdaError):
     """Requested answer index k lies outside 1..count."""
 
 
+class ArgumentError(CqdaError, ValueError):
+    """An index or window bound that is no ``int``, or a tuple off the universe or the domain."""
+
+
 class UncoverableError(CqdaError):
     """No subset of the edge family covers the requested vertex set."""
 

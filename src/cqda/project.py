@@ -66,11 +66,9 @@ def project_circuit(c: Circuit, idx: acc.AccessIndex, keep: int) -> Circuit:
 class CircuitEngine(acc.Provider):
     """Direct access handle over the answers of one compiled query.
 
-    ``universe`` is the significance order of the answer variables
-    (the free variables when the query had a head).  Counting, k-th
-    answer and ranking run on the preprocessed circuit, and
-    ``answers`` windows over ``kth``; binarized pipelines decode bit
-    tuples transparently.
+    ``universe`` is the significance order of the answer variables (the
+    free variables when the query had a head).  The hooks run on the
+    preprocessed circuit; binarized pipelines encode and decode bit tuples.
     """
 
     universe: VarOrder
@@ -83,14 +81,13 @@ class CircuitEngine(acc.Provider):
     def count(self) -> int:
         return acc.count(self.circuit, self.index)
 
-    def kth(self, k: int) -> Assignment:
+    def _kth(self, k: int) -> Assignment:
         raw = acc.direct_access(self.circuit, self.index, k)
         if self.codec is None:
             return raw
         return debin_tuple(raw, self.codec)
 
-    def rank_of(self, t: Mapping[str, str]) -> int:
-        # a missing or extra variable encodes to the wrong bit variables, which rank rejects
+    def _rank_of(self, t: Mapping[str, str]) -> int:
         if self.codec is not None:
             t = self.codec.encode_assignment(t)
         return acc.rank(self.circuit, self.index, t)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .access import Provider, rank_by_kth
-from .errors import OutOfRangeError
 from .hypergraph import Budget
 from .project import da_conjunctive
 from .query import SignedQuery
@@ -30,24 +29,24 @@ class _Memo(Provider):
     first probes are the same for every tuple.
     """
 
-    def __init__(self, inner):
+    def __init__(self, inner: Provider):
         self.inner, self.universe, self.domain = inner, inner.universe, inner.domain
         self._count = inner.count()
-        self._kth: dict[int, Assignment] = {}
+        self._memo: dict[int, Assignment] = {}
 
     def count(self) -> int:
         return self._count
 
-    def kth(self, k: int) -> Assignment:
-        got = self._kth.get(k)
+    def _kth(self, k: int) -> Assignment:
+        got = self._memo.get(k)
         if got is None:
-            got = self._kth[k] = self.inner.kth(k)
+            got = self._memo[k] = self.inner._kth(k)
         return got
 
-    def rank_of(self, t: Mapping[str, str]) -> int:
+    def _rank_of(self, t: Mapping[str, str]) -> int:
         if isinstance(self.inner, Difference):
-            return self.inner.rank_of(t)
-        return rank_by_kth(self.kth, self._count, t, self.universe, self.domain)
+            return self.inner._rank_of(t)
+        return rank_by_kth(self._kth, self._count, t, self.universe, self.domain)
 
 
 class Difference(Provider):
@@ -64,24 +63,24 @@ class Difference(Provider):
     def __init__(self, big: Provider, small: Provider):
         self.big, self.small = big, small
         self.universe, self.domain = big.universe, big.domain
+        hooks = [(p._kth, p._rank_of) if isinstance(p, Provider) else (p.kth, p.rank_of) for p in (big, small)]
+        (self._big_kth, self._big_rank), (_, self._small_rank) = hooks  # internal calls are not checked again
 
     def count(self) -> int:
         return self.big.count() - self.small.count()
 
-    def kth(self, k: int) -> Assignment:
-        if not 1 <= k <= self.count():
-            raise OutOfRangeError(f"k out of range (count={self.count()})")
+    def _kth(self, k: int) -> Assignment:
         lo, hi = 1, self.big.count()
         while lo < hi:
             mid = (lo + hi) // 2
-            if mid - self.small.rank_of(self.big.kth(mid)) >= k:
+            if mid - self._small_rank(self._big_kth(mid)) >= k:
                 hi = mid
             else:
                 lo = mid + 1
-        return self.big.kth(lo)
+        return self._big_kth(lo)
 
-    def rank_of(self, t: Mapping[str, str]) -> int:
-        return self.big.rank_of(t) - self.small.rank_of(t)
+    def _rank_of(self, t: Mapping[str, str]) -> int:
+        return self._big_rank(t) - self._small_rank(t)
 
 
 def positive_part(q: SignedQuery, flipped: frozenset[int]) -> SignedQuery:

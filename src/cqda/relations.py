@@ -226,12 +226,8 @@ def join(r1: Relation, r2: Relation) -> Relation:
 
 
 def lex_compare(t1: Mapping[str, str], t2: Mapping[str, str], order: VarOrder, domain: Domain) -> int:
-    """Compare two tuples over the same variables; returns LT, EQ or GT."""
-    if set(t1) != set(t2):
-        raise ValueError("tuples must bind the same variable set")
+    """Compare two tuples that bind every variable of ``order``; returns LT, EQ or GT."""
     for v in order:
-        if v not in t1:
-            continue
         a, b = domain.rank(t1[v]), domain.rank(t2[v])
         if a != b:
             return LT if a < b else GT

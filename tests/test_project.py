@@ -1,7 +1,8 @@
+import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import example51_db, example51_query, instances, validate_decomposable, validate_ordered
@@ -9,7 +10,7 @@ from cqda import access
 from cqda.access import count, direct_access, preprocess
 from cqda.circuit import circuit_size, semantics_bruteforce
 from cqda.compiler import compile_binarized, dpll_compile
-from cqda.errors import ArityMismatchError, NotFreeConnexError
+from cqda.errors import ArgumentError, ArityMismatchError, CqdaError, NotFreeConnexError
 from cqda.project import CircuitEngine, da_conjunctive, project_circuit
 from cqda.query import SignedQuery, eval_bruteforce, parse_query
 from cqda.relations import Assignment, Database, Domain, Relation, VarOrder, sort_lex
@@ -130,6 +131,24 @@ def test_compile_time_projection_matches_project_circuit(inst, data):
         assert stats.rec_calls <= full_stats.rec_calls
 
 
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=20, deadline=None)
+def test_an_existential_call_stops_at_its_first_model(ys, xs, zs):
+    # y is existential and sits above z; each y reaches z values of its own, so no two z calls share
+    # a cache entry, and trying every y would cost a call per y: doubling the ys must add no call
+    def rec_calls(n: int) -> int:
+        x, y, z = ([f"{v}{i}" for i in range(size)] for v, size in (("x", xs), ("y", n), ("z", n * zs)))
+        db = Database(Domain((*x, *y, *z)), {
+            "R": Relation.from_rows(("c0", "c1"), [(a, b) for a in x for b in y]),
+            "S": Relation.from_rows(("c0", "c1"), [(b, z[j * zs + m]) for j, b in enumerate(y) for m in range(zs)]),
+        })
+        circuit, stats = dpll_compile(parse_query("Q(x) :- R(x,y), S(y,z)."), db, VarOrder(("z", "y", "x")))
+        assert count(circuit, preprocess(circuit)) == xs
+        return stats.rec_calls
+
+    assert rec_calls(2 * ys) == rec_calls(ys)
+
+
 @pytest.mark.parametrize("binarize", [False, True])
 def test_da_conjunctive_preprocesses_a_projected_query_once(ex51, monkeypatch, binarize):
     q, db, order = ex51
@@ -230,6 +249,73 @@ def test_rank_of_rejects_a_value_outside_the_domain(ex51, engine):
         for bad in ({"x1": "7", "x2": "0", "x3": "0", "x4": "0"}, {"x1": "0", "x2": "1", "x3": "0", "x4": "7"}):
             with pytest.raises(ValueError, match="'7' outside the domain"):
                 handle.rank_of(bad)
+        # an unhashable or absent value, and a variable beyond the universe
+        answer = {"x1": "0", "x2": "1", "x3": "1", "x4": "0"}
+        for bad in ({**answer, "x1": ["0"]}, {**answer, "x4": None}, {**answer, "y": "0"}):
+            with pytest.raises(ArgumentError):
+                handle.rank_of(bad)
+
+
+_ENGINES = ("binarized", "raw", "reduction")
+# ints, bools, floats, strings and None; the domain is "0" and "1", and the example has 8 answers
+_ARG = st.one_of(st.integers(-2, 10), st.booleans(), st.floats(-2, 10), st.sampled_from(["0", "1", "3", "7"]), st.none())
+_INDEX = st.booleans().flatmap(lambda plain: st.integers(-1, 10) if plain else _ARG)  # half of them ints
+
+
+@st.composite
+def _rank_tuples(draw):
+    """Mostly mappings over the universe, with odd values, a variable dropped or one added."""
+    odd = st.one_of(_ARG, st.lists(st.sampled_from(["0", "1"]), max_size=2), st.dictionaries(st.just("0"), st.just("0")))
+    names = ["x1", "x2", "x3", "x4"]
+    change = draw(st.sampled_from(["none", "none", "drop", "add"]))
+    if change == "drop":
+        names.remove(draw(st.sampled_from(names)))
+    elif change == "add":
+        names.append(draw(st.sampled_from(["y", "x5"])))
+    # about one value in ten is odd; a test on 0 would fire far more often, as Hypothesis favours small draws
+    t = {v: draw(odd if draw(st.integers(0, 9)) == 5 else st.sampled_from(["0", "1"])) for v in names}
+    return draw(st.one_of(st.just(t), st.just(t), st.just(t), _ARG, st.lists(st.sampled_from(names))))
+
+
+@functools.cache
+def _ex51_engines() -> dict:
+    from cqda.reduction import signed_da_via_reduction
+
+    q, db, order = example51_query(), example51_db(), VarOrder(("x1", "x2", "x3", "x4"))
+    return {
+        engine: signed_da_via_reduction(q, db, order)
+        if engine == "reduction"
+        else da_conjunctive(q, db, order, binarize=engine == "binarized")
+        for engine in _ENGINES
+    }
+
+
+@given(st.sampled_from(["kth", "answers", "rank_of"]), _INDEX, _INDEX, st.one_of(st.none(), _INDEX), _rank_tuples())
+@settings(max_examples=300, deadline=None)
+def test_every_engine_checks_its_arguments_alike(call, k, start, limit, t):
+    outcomes = {}
+    for name, engine in _ex51_engines().items():
+        try:
+            if call == "kth":
+                got = dict(engine.kth(k))
+            elif call == "answers":
+                got = [dict(a) for a in engine.answers(start, limit)]
+            else:
+                got = engine.rank_of(t)
+        except CqdaError as exc:
+            got = type(exc)
+        outcomes[name] = got
+    event(f"{call}: {outcomes['raw'].__name__ if isinstance(outcomes['raw'], type) else 'answered'}")
+    assert outcomes["binarized"] == outcomes["raw"] == outcomes["reduction"]
+
+
+@pytest.mark.parametrize("call, args", [
+    ("kth", (2.5,)), ("kth", (True,)), ("kth", ("3",)), ("answers", ("1",)), ("answers", (1, 2.5)), ("rank_of", (None,)),
+])
+def test_a_bad_index_or_tuple_raises_argument_error_on_every_engine(call, args):
+    for engine in _ex51_engines().values():
+        with pytest.raises(ArgumentError):
+            getattr(engine, call)(*args)
 
 
 def test_answers_window_is_checked_before_yielding(ex51):

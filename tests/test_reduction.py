@@ -8,7 +8,7 @@ from conftest import example51_db, example51_query, instances
 from cqda.access import rank_by_kth
 from cqda.errors import OutOfRangeError
 from cqda.project import da_conjunctive
-from cqda.query import SignedQuery, eval_bruteforce
+from cqda.query import SignedQuery, eval_bruteforce, parse_query
 from cqda.reduction import Difference, positive_part, signed_da_via_reduction
 from cqda.relations import Assignment, Database, Domain, Relation, VarOrder, sort_lex
 
@@ -200,10 +200,16 @@ def test_every_flipped_kept_split_matches_bruteforce(inst):
                 assert [got.kth(k) for k in range(1, got.count() + 1)] == oracle
 
 
-@pytest.mark.parametrize("engine", ["circuit", "reduction"])
+def _engine(engine: str, q, db, order):
+    if engine == "reduction":
+        return signed_da_via_reduction(q, db, order)
+    return da_conjunctive(q, db, order, binarize=engine == "circuit")
+
+
+@pytest.mark.parametrize("engine", ["circuit", "raw", "reduction"])
 def test_answers_window_equals_kth_and_is_checked_before_yielding(ex51, engine):
     q, db, order = ex51
-    handle = signed_da_via_reduction(q, db, order) if engine == "reduction" else da_conjunctive(q, db, order)
+    handle = _engine(engine, q, db, order)
     everything = [handle.kth(k) for k in range(1, handle.count() + 1)]
     assert len(everything) == 8
     assert list(handle.answers()) == everything
@@ -212,6 +218,23 @@ def test_answers_window_equals_kth_and_is_checked_before_yielding(ex51, engine):
         for limit in range(0, 10 - start):
             assert list(handle.answers(start, limit)) == everything[start - 1:start - 1 + limit]
     for start, limit in ((7, 5), (0, 2), (9, 1), (2, -1), (10, None)):
+        with pytest.raises(OutOfRangeError):
+            handle.answers(start, limit)
+
+    # 56 answers, so windows run past 50 answers
+    square = Relation.from_rows(("c0", "c1"), itertools.product("abcd", repeat=2))
+    pairs = Relation.from_rows(("c0", "c1"), [("a", "b"), ("d", "d")])
+    wide = Database(Domain(tuple("abcd")), {"R": square, "S": square, "T": pairs})
+    handle = _engine(engine, parse_query("Q(*) :- R(x,y), S(y,z), !T(x,z)."), wide, VarOrder(("x", "y", "z")))
+    everything = [handle.kth(k) for k in range(1, handle.count() + 1)]
+    assert len(everything) == 56
+    assert list(handle.answers()) == everything
+    rng = random.Random(0)
+    for _ in range(20):
+        start = rng.randint(1, 6)
+        limit = rng.randint(51, 57 - start)
+        assert list(handle.answers(start, limit)) == everything[start - 1:start - 1 + limit]
+    for start, limit in ((1, 57), (6, 52)):
         with pytest.raises(OutOfRangeError):
             handle.answers(start, limit)
 
