@@ -69,7 +69,7 @@ def preprocess(c: Circuit) -> AccessIndex:
 
 
 def count(c: Circuit, idx: AccessIndex) -> int:
-    """Number of tuples of the circuit's relation over the full universe."""
+    """Number of tuples of the circuit's relation over the full universe; ``Provider.kth`` calls it per access."""
     free = len(c.universe.vars) - idx.var_mask[c.output].bit_count()
     return idx.rel_count[c.output] * len(c.domain.values) ** free
 
@@ -212,7 +212,7 @@ def rank_by_kth(
 
 
 def rank(c: Circuit, idx: AccessIndex, t: Mapping[str, str]) -> int:
-    """Number of tuples at most ``t`` in the circuit's relation (an answer's 1-based rank)."""
+    """Number of tuples at most ``t``, which must have passed ``check_tuple``, in the circuit's relation."""
     return rank_by_kth(partial(direct_access, c, idx), count(c, idx), t, c.universe, c.domain)
 
 

@@ -335,8 +335,10 @@ class BinCodec:
 
     def encode_assignment(self, tau: Mapping[str, str]) -> Assignment:
         """The bits of ``tau``, whose variables and values ``access.Provider`` has checked."""
-        names, encode = self.bit_names, self.encode_value
-        return Assignment(pair for var, value in tau.items() for pair in zip(names[var], encode(value)))
+        out: dict[str, str] = {}
+        for var, value in tau.items():
+            out.update(zip(self.bit_names[var], self.encode_value(value)))
+        return Assignment(out)
 
 
 def _bits(code: int, width: int) -> tuple[str, ...]:

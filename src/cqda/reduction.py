@@ -63,8 +63,6 @@ class Difference(Provider):
     def __init__(self, big: Provider, small: Provider):
         self.big, self.small = big, small
         self.universe, self.domain = big.universe, big.domain
-        hooks = [(p._kth, p._rank_of) if isinstance(p, Provider) else (p.kth, p.rank_of) for p in (big, small)]
-        (self._big_kth, self._big_rank), (_, self._small_rank) = hooks  # internal calls are not checked again
 
     def count(self) -> int:
         return self.big.count() - self.small.count()
@@ -73,14 +71,14 @@ class Difference(Provider):
         lo, hi = 1, self.big.count()
         while lo < hi:
             mid = (lo + hi) // 2
-            if mid - self._small_rank(self._big_kth(mid)) >= k:
+            if mid - self.small._rank_of(self.big._kth(mid)) >= k:
                 hi = mid
             else:
                 lo = mid + 1
-        return self._big_kth(lo)
+        return self.big._kth(lo)
 
     def _rank_of(self, t: Mapping[str, str]) -> int:
-        return self._big_rank(t) - self._small_rank(t)
+        return self.big._rank_of(t) - self.small._rank_of(t)
 
 
 def positive_part(q: SignedQuery, flipped: frozenset[int]) -> SignedQuery:

@@ -175,6 +175,8 @@ def test_codec_tables():
     assert codec.encode_assignment({"x": "b", "y": "c"}) == Assignment(
         {"x^1": "1", "x^2": "0", "y^1": "0", "y^2": "1"}
     )
+    with pytest.raises(KeyError):
+        codec.encode_assignment({"z": "a"})
     with pytest.raises(RankOutOfDomainError):
         codec.decode_value(("1", "1"))
 

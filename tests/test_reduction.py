@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import example51_db, example51_query, instances
-from cqda.access import rank_by_kth
+from cqda.access import Provider, rank_by_kth
 from cqda.errors import OutOfRangeError
 from cqda.project import da_conjunctive
 from cqda.query import SignedQuery, eval_bruteforce, parse_query
@@ -17,7 +17,7 @@ D3 = Domain(("0", "1", "2"))
 XY = VarOrder(("x", "y"))
 
 
-class ExplicitProvider:
+class ExplicitProvider(Provider):
     """Direct access over a materialised relation; the small-case oracle."""
 
     def __init__(self, rel: Relation, order: VarOrder, domain: Domain):
@@ -28,13 +28,11 @@ class ExplicitProvider:
     def count(self) -> int:
         return len(self._sorted)
 
-    def kth(self, k: int) -> Assignment:
-        if not 1 <= k <= len(self._sorted):
-            raise OutOfRangeError(f"k out of range (count={len(self._sorted)})")
+    def _kth(self, k: int) -> Assignment:
         return self._sorted[k - 1]
 
-    def rank_of(self, t) -> int:
-        return rank_by_kth(self.kth, self.count(), t, self.universe, self.domain)
+    def _rank_of(self, t) -> int:
+        return rank_by_kth(self._kth, self.count(), t, self.universe, self.domain)
 
 
 def provider(rows):
