@@ -2,11 +2,13 @@
 """Differential fuzzing: both engines against the brute-force oracle.
 
 Generates random signed queries and databases, sorts the brute-force
-answers, and checks count, one seeded window ``answers(start, limit)``,
-every k-th access and the rank of every answer for the circuit engine
-(raw and binarized) and the subtraction-based reduction engine; each
-engine must also refuse ``kth(1.5)`` and a rank tuple with a variable
-beyond its universe with ``ArgumentError``.  Each instance is also
+answers, and checks count, the whole enumeration ``answers()``, one
+seeded window ``answers(start, limit)``, every k-th access and the rank
+of every answer for the circuit engine (raw and binarized, both of
+which stream a window by one descent and an odometer walk) and the
+subtraction-based reduction engine; each engine must also refuse
+``kth(1.5)`` and a rank tuple with a variable beyond its universe with
+``ArgumentError``.  Each instance is also
 given a head, a random prefix of its significance order, and the
 projected query is checked the same way on the two circuit engines,
 which project while they compile.  Every instance's
@@ -78,6 +80,8 @@ def main() -> None:
             oracle = sort_lex(eval_bruteforce(query, db), answer_order, db.domain)
             if engine.count() != len(oracle):
                 fail(trial, query, f"{name} count {engine.count()} != {len(oracle)}")
+            if list(engine.answers()) != oracle:
+                fail(trial, query, f"{name} answers() differs from the sorted oracle")
             start = windows.randint(1, len(oracle) + 1)
             limit = windows.randint(0, len(oracle) - start + 1)
             if list(engine.answers(start, limit)) != oracle[start - 1:start - 1 + limit]:

@@ -5,9 +5,11 @@ the running prefix counts along each decision gate's sorted edges.  A
 direct access then walks the circuit's universe (significance order,
 most significant variable first), maintaining the frontier of gates
 compatible with the bound prefix and answering one counting query per
-variable.  All counts are exact Python integers, so nothing overflows
-even when they exceed machine words.  ``Provider`` is the contract
-every engine meets: the one place its arguments are checked.
+variable.  ``walk`` streams a window of consecutive tuples from one
+such descent, advancing its levels like an odometer.  All counts are
+exact Python integers, so nothing overflows even when they exceed
+machine words.  ``Provider`` is the contract every engine meets: the
+one place its arguments are checked.
 """
 
 from __future__ import annotations
@@ -133,10 +135,11 @@ def _oracle(c: Circuit, idx: AccessIndex, gates: tuple[int, ...], p: int, n: int
     """Smallest value for variable ``p`` reaching ``n`` extensions, and the
     count of extensions strictly below it.
 
-    Returns ``(value, below, after)`` where ``after`` is the frontier
-    once ``p`` is bound to ``value``: the frontier's decision gate on
-    ``p``, if any, is crossed along the chosen edge.  ``None`` means the
-    edge led to an empty branch.
+    Returns ``(value, below, after, gate, i)`` where ``after`` is the
+    frontier once ``p`` is bound to ``value``: ``gate``, the frontier's
+    decision gate on ``p`` if any, is crossed along its edge ``i``;
+    without one, ``i`` is the value's 0-based position in the domain.
+    ``None`` means the edge led to an empty branch.
     """
     dsize = len(c.domain)
     x = c.universe.vars[p]
@@ -163,7 +166,7 @@ def _oracle(c: Circuit, idx: AccessIndex, gates: tuple[int, ...], p: int, n: int
             raise OutOfRangeError("n exceeds the number of extensions")
         below = counts[i - 1] * product if i > 0 else 0
         value, child = edges[i]
-        return value, below, _cross(c, gates, gate_on_x, child)
+        return value, below, _cross(c, gates, gate_on_x, child), gate_on_x, i
 
     product = dsize ** (free_rest - 1)
     for gid in gates:
@@ -173,23 +176,95 @@ def _oracle(c: Circuit, idx: AccessIndex, gates: tuple[int, ...], p: int, n: int
     r = -(-n // product)
     if r > dsize:
         raise OutOfRangeError("n exceeds the number of extensions")
-    return c.domain.value_at(r), (r - 1) * product, gates
+    return c.domain.value_at(r), (r - 1) * product, gates, None, r - 1
 
 
-def direct_access(c: Circuit, idx: AccessIndex, k: int) -> Assignment:
-    """The k-th tuple (1-based) of the circuit's relation in its universe order."""
+def direct_access(c: Circuit, idx: AccessIndex, k: int, trail: list | None = None) -> Assignment:
+    """The k-th tuple (1-based) of the circuit's relation in its universe order.
+
+    ``trail``, when given, receives one ``(frontier, gate, option)`` per
+    level: the frontier before the level's variable is bound, and
+    ``_oracle``'s gate and option there.
+    """
     total = count(c, idx)
     if k < 1 or k > total:
         raise OutOfRangeError(f"k out of range (count={total})")
     gates = _expand(c, [c.output])
     bound: dict[str, str] = {}
     for p in range(len(c.universe)):
-        value, below, gates = _oracle(c, idx, gates, p, k)
-        if gates is None:
+        value, below, after, gate, i = _oracle(c, idx, gates, p, k)
+        if after is None:
             raise UnsatisfiableError("descended into an empty branch")
+        if trail is not None:
+            trail.append((gates, gate, i))
         bound[c.universe.vars[p]] = value
+        gates = after
         k -= below
     return Assignment(bound)
+
+
+def _gate_on(c: Circuit, gates: tuple[int, ...], x: str) -> int | None:
+    """The frontier's decision gate on ``x``, or ``None`` when no gate tests it."""
+    for gid in gates:
+        g = c.gates[gid]
+        if isinstance(g, DecisionGate) and g.var == x:
+            return gid
+    return None
+
+
+def _rising(counts: list[int], i: int) -> int:
+    """First edge index from ``i`` on whose prefix count rises, or ``len(counts)``."""
+    below = counts[i - 1] if i else 0
+    while i < len(counts) and counts[i] == below:
+        i += 1
+    return i
+
+
+def walk(c: Circuit, idx: AccessIndex, start: int, stop: int) -> Iterator[tuple[str, ...]]:
+    """Value tuples ``start .. stop-1`` (1-based) of the circuit's relation, in universe order.
+
+    One descent reaches ``start`` and keeps each level's frontier, gate
+    and option.  Each later tuple advances, as an odometer does, the
+    deepest level with a next option of nonzero count: the next edge
+    whose prefix count rises, or the next domain value on a level that
+    no gate tests.  Every level below restarts at its first such option.
+    A window costs one descent plus amortised odometer steps.
+    """
+    if start >= stop:
+        return
+    total = count(c, idx)
+    if start < 1 or stop - 1 > total:
+        raise OutOfRangeError(f"window {start}..{stop - 1} outside 1..{total}")
+    trail: list = []
+    first = direct_access(c, idx, start, trail)
+    xs, dvalues, prefix_counts = c.universe.vars, c.domain.values, idx.prefix_counts
+    values = [first[x] for x in xs]
+    frontiers = [level[0] for level in trail]
+    gates = [level[1] for level in trail]
+    options = [level[2] for level in trail]
+    n, dsize = len(xs), len(dvalues)
+    yield tuple(values)
+    for _ in range(stop - start - 1):
+        p = n - 1
+        while True:  # the deepest level with a next option; the window check keeps p >= 0
+            gid = gates[p]
+            i = options[p] + 1 if gid is None else _rising(prefix_counts[gid], options[p] + 1)
+            if i < (dsize if gid is None else len(prefix_counts[gid])):
+                break
+            p -= 1
+        while True:
+            options[p] = i
+            if gid is None:
+                values[p] = dvalues[i]
+            else:
+                values[p], child = c.gates[gid].edges[i]
+            if p == n - 1:
+                break
+            p += 1
+            frontiers[p] = after = frontiers[p - 1] if gid is None else _cross(c, frontiers[p - 1], gid, child)
+            gid = gates[p] = _gate_on(c, after, xs[p])
+            i = 0 if gid is None else _rising(prefix_counts[gid], 0)
+        yield tuple(values)
 
 
 def rank_by_kth(
@@ -259,11 +334,13 @@ class Provider:
 
     An engine has a ``universe`` (the significance order of its answers) and a ``domain``,
     and defines ``count()`` and the hooks ``_kth`` and ``_rank_of``, which trust their
-    arguments.  ``kth(k)`` (1-based, lexicographic), ``rank_of(t)`` (answers at most ``t``)
-    and ``answers(start, limit)`` take an index or window bound that is an ``int`` and not a
-    ``bool``, and a tuple binding exactly the universe's variables to ``str`` values in the
-    domain.  Else they raise ``ArgumentError``, a ``ValueError`` (CLI exit 1), or past the
-    answers ``OutOfRangeError`` (CLI exit 2).
+    arguments; it may override ``_answers(ks)``, the answers at the indices of a checked
+    window, which defaults to one ``_kth`` per index.  ``kth(k)`` (1-based, lexicographic),
+    ``rank_of(t)`` (answers at most ``t``) and ``answers(start, limit)`` take an index or
+    window bound that is an ``int`` and not a ``bool``, and a tuple binding exactly the
+    universe's variables to ``str`` values in the domain.  Else they raise
+    ``ArgumentError``, a ``ValueError`` (CLI exit 1), or past the answers
+    ``OutOfRangeError`` (CLI exit 2).
     """
 
     def kth(self, k: int) -> Assignment:
@@ -276,4 +353,7 @@ class Provider:
 
     def answers(self, start: int = 1, limit: int | None = None) -> Iterator[Assignment]:
         """Answers ``start .. start+limit-1``; raises before yielding if the window is out of range."""
-        return map(self._kth, answer_window(self.count(), start, limit))
+        return self._answers(answer_window(self.count(), start, limit))
+
+    def _answers(self, ks: range) -> Iterator[Assignment]:
+        return map(self._kth, ks)

@@ -20,7 +20,7 @@ prefix, equivalently an elimination-order suffix.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from . import access as acc
@@ -86,6 +86,15 @@ class CircuitEngine(acc.Provider):
         if self.codec is None:
             return raw
         return debin_tuple(raw, self.codec)
+
+    def _answers(self, ks: range) -> Iterator[Assignment]:
+        """One ``access.walk`` over the window; a bit tuple decodes through ``codec.values``."""
+        names, tuples = self.universe.vars, acc.walk(self.circuit, self.index, ks.start, ks.stop)
+        if self.codec is None:
+            return (Assignment(zip(names, t)) for t in tuples)
+        position, decode = self.circuit.universe.position, self.codec.values
+        bits = [[position(b) for b in self.codec.bit_names[v]] for v in names]  # least significant first
+        return (Assignment(zip(names, [decode[tuple(map(t.__getitem__, ix))] for ix in bits])) for t in tuples)
 
     def _rank_of(self, t: Mapping[str, str]) -> int:
         if self.codec is not None:

@@ -183,11 +183,12 @@ def make_instance(
     max_atoms: int = 4,
     max_dom: int = 4,
     max_tuples: int = 20,
+    min_dom: int = 1,
 ) -> Instance:
     """Random signed query, database and significance order."""
     nvars = rng.randint(1, max_vars)
     pool = [f"x{i}" for i in range(nvars)]
-    domain = Domain(tuple(str(i) for i in range(rng.randint(1, max_dom))))
+    domain = Domain(tuple(str(i) for i in range(rng.randint(min_dom, max_dom))))
     atoms: list[Atom] = []
     relations: dict[str, Relation] = {}
     for i in range(rng.randint(1, max_atoms)):
@@ -213,9 +214,9 @@ def make_instance(
 
 
 @st.composite
-def instances(draw, max_vars=4, max_atoms=3, max_dom=3, max_tuples=8) -> Instance:
+def instances(draw, max_vars=4, max_atoms=3, max_dom=3, max_tuples=8, min_dom=1) -> Instance:
     seed = draw(st.integers(0, 2**48))
-    return make_instance(random.Random(seed), max_vars, max_atoms, max_dom, max_tuples)
+    return make_instance(random.Random(seed), max_vars, max_atoms, max_dom, max_tuples, min_dom)
 
 
 @st.composite

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from conftest import annotated_circuit, instances, kth_tuple_bruteforce, select_prefix
 from cqda import access
-from cqda.access import AccessIndex, answer_window, count, direct_access, frontier, preprocess, rank
+from cqda.access import AccessIndex, answer_window, count, direct_access, frontier, preprocess, rank, walk
 from cqda.circuit import Circuit, DecisionGate, ProductGate, semantics_bruteforce
 from cqda.compiler import dpll_compile
 from cqda.errors import NotAPrefixError, OutOfRangeError, UnsatisfiableError
@@ -36,7 +36,7 @@ def count_leq(c: Circuit, idx: AccessIndex, tau: Mapping[str, str], n: int) -> t
     gates = frontier(c, idx, tau)
     if gates is None:
         raise UnsatisfiableError("prefix admits no extension")
-    value, below, _ = access._oracle(c, idx, gates, len(tau), n)
+    value, below = access._oracle(c, idx, gates, len(tau), n)[:2]
     return value, below
 
 
@@ -175,6 +175,23 @@ def test_rank_and_enumerate_roundtrip():
     for start in (0, 16):
         with pytest.raises(OutOfRangeError):
             answers_in(start)
+
+
+def test_walk_equals_direct_access_on_every_window():
+    # Bot edges have zero count, and x2 is free below x1=1, so that level has no gate
+    c = annotated_circuit()
+    idx = preprocess(c)
+    tuples = [tuple(direct_access(c, idx, k)[x] for x in c.universe.vars) for k in range(1, 15)]
+    for start in range(1, 16):
+        for stop in range(start, 16):
+            assert list(walk(c, idx, start, stop)) == tuples[start - 1:stop - 1]
+    for start, stop in ((0, 2), (14, 16)):
+        with pytest.raises(OutOfRangeError):
+            list(walk(c, idx, start, stop))
+    # no variables: the one empty tuple
+    top = Circuit(Domain(("0",)), VarOrder(()))
+    top.set_output(top.top())
+    assert list(walk(top, preprocess(top), 1, 2)) == [()]
 
 
 def test_rank_of_absent_tuple_counts_predecessors():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import example51_db, example51_query, instances, validate_decomposable, validate_ordered
 from cqda import access
 from cqda.access import count, direct_access, preprocess
-from cqda.circuit import circuit_size, semantics_bruteforce
+from cqda.circuit import BotGate, Circuit, ProductGate, TopGate, circuit_size, semantics_bruteforce
 from cqda.compiler import compile_binarized, dpll_compile
 from cqda.errors import ArgumentError, ArityMismatchError, CqdaError, NotFreeConnexError
 from cqda.project import CircuitEngine, da_conjunctive, project_circuit
@@ -330,3 +331,72 @@ def test_answers_window_is_checked_before_yielding(ex51):
     for start, limit in ((7, 5), (0, 2), (9, 1), (2, -1)):
         with pytest.raises(OutOfRangeError):
             engine.answers(start, limit)
+
+
+def with_dead_edges(c, rng: random.Random):
+    """``c`` rebuilt with zero-count edges: each missing value of a decision gate may lead to Bot or to Bot x Top."""
+    out = Circuit(c.domain, c.universe)
+    dead = [out.bot(), out.add_product([out.bot(), out.top()])]
+    new: dict[int, int] = {}
+    for gid in c.reachable():
+        g = c.gates[gid]
+        if isinstance(g, TopGate):
+            new[gid] = out.top()
+        elif isinstance(g, BotGate):
+            new[gid] = out.bot()
+        elif isinstance(g, ProductGate):
+            new[gid] = out.add_product(new[ch] for ch in g.children)
+        else:
+            edges = {v: new[ch] for v, ch in g.edges}
+            for v in c.domain.values:
+                if v not in edges and rng.random() < 0.5:
+                    edges[v] = rng.choice(dead)
+            new[gid] = out.add_decision(g.var, [(v, edges[v]) for v in c.domain.values if v in edges])
+    out.set_output(new[c.output])
+    return out
+
+
+@given(st.sampled_from([1, 2, 3, 4, 5]).flatmap(lambda d: instances(max_vars=4, max_atoms=3, max_tuples=20, min_dom=d, max_dom=d)),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_answers_walk_equals_kth(inst, data):
+    """The streamed window equals one kth per index: one bit per variable at a 2-value domain,
+    invalid bit patterns at 3 and 5, a padding variable, zero-count edges, windows to ``count()``."""
+    q, order = inst.query, inst.order
+    keep = data.draw(st.integers(0, len(order)), label="free prefix")
+    query = q if keep == len(order) else SignedQuery(q.atoms, frozenset(order.vars[:keep]))
+    if query.free is None and data.draw(st.booleans(), label="pad"):
+        at = data.draw(st.integers(0, len(order)), label="padding position")
+        order = VarOrder(order.vars[:at] + ("pad",) + order.vars[at:])  # no atom mentions it, so no gate tests it
+    binarize = data.draw(st.booleans(), label="binarize")
+    engine = da_conjunctive(query, inst.db, order, binarize=binarize)
+    everything = [engine.kth(k) for k in range(1, engine.count() + 1)]
+    dead_edges = data.draw(st.booleans(), label="dead edges")
+    if dead_edges:
+        dead = with_dead_edges(engine.circuit, random.Random(data.draw(st.integers(0, 2**32), label="edge seed")))
+        engine = dataclasses.replace(engine, circuit=dead, index=preprocess(dead))
+        assert [engine.kth(k) for k in range(1, engine.count() + 1)] == everything
+    n = engine.count()
+    start = data.draw(st.integers(1, n + 1), label="start")
+    window = data.draw(st.sampled_from(["limit 0", "to count()", "any"]), label="window")
+    room = n - start + 1
+    limit = 0 if window == "limit 0" else room if window == "to count()" else data.draw(st.integers(0, room), label="limit")
+    event(f"{len(inst.db.domain)} values, {'binarized' if binarize else 'raw'}")
+    event(f"window {window}, {'no answers' if n == 0 else 'answers'}")
+    event(f"dead edges: {dead_edges}")
+    assert list(engine.answers(start, limit)) == [engine.kth(k) for k in range(start, start + limit)]
+    assert list(engine.answers()) == everything
+
+
+@pytest.mark.parametrize("binarize", [False, True])
+def test_a_window_costs_one_descent(ex51, monkeypatch, binarize):
+    q, db, order = ex51
+    engine = da_conjunctive(q, db, order, binarize=binarize)
+    levels = []
+    oracle = access._oracle
+    monkeypatch.setattr(access, "_oracle", lambda c, idx, gates, p, n: levels.append(p) or oracle(c, idx, gates, p, n))
+    for start, limit in ((1, 8), (2, 6), (5, 2)):
+        levels.clear()
+        assert len(list(engine.answers(start, limit))) == limit
+        # one oracle call per level of one descent, not one descent per answer
+        assert levels == list(range(len(engine.circuit.universe)))
