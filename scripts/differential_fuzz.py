@@ -6,7 +6,10 @@ answers, and checks count, the whole enumeration ``answers()``, one
 seeded window ``answers(start, limit)``, every k-th access and the rank
 of every answer for the circuit engine (raw and binarized, both of
 which stream a window by one descent and an odometer walk) and the
-subtraction-based reduction engine; each engine must also refuse
+subtraction-based reduction engine.  On the circuit engines, an
+instance with at most 64 answers also checks ``answers(start)`` for
+every start from 1 to one past the last answer, so the walk starts
+from every descent's trail.  Each engine must also refuse
 ``kth(1.5)`` and a rank tuple with a variable beyond its universe with
 ``ArgumentError``.  Each instance is also
 given a head, a random prefix of its significance order, and the
@@ -30,7 +33,7 @@ from conftest import make_instance  # noqa: E402
 
 from cqda.cli import database_from_dict  # noqa: E402
 from cqda.errors import ArgumentError  # noqa: E402
-from cqda.project import da_conjunctive  # noqa: E402
+from cqda.project import CircuitEngine, da_conjunctive  # noqa: E402
 from cqda.query import SignedQuery, eval_bruteforce  # noqa: E402
 from cqda.reduction import signed_da_via_reduction  # noqa: E402
 from cqda.relations import VarOrder, sort_lex  # noqa: E402
@@ -53,7 +56,7 @@ def main() -> None:
 
     rng = random.Random(args.seed)
     windows = random.Random(f"windows {args.seed}")  # apart from rng, so the instances stay the same
-    accesses = 0
+    accesses = starts = 0
     for trial in range(args.iterations):
         inst = make_instance(rng, args.max_vars, args.max_atoms, args.max_dom)
         q, order = inst.query, inst.order
@@ -86,6 +89,11 @@ def main() -> None:
             limit = windows.randint(0, len(oracle) - start + 1)
             if list(engine.answers(start, limit)) != oracle[start - 1:start - 1 + limit]:
                 fail(trial, query, f"{name} answers({start}, {limit}) differs from the oracle slice")
+            if isinstance(engine, CircuitEngine) and len(oracle) <= 64:
+                for start in range(1, len(oracle) + 2):
+                    starts += 1
+                    if list(engine.answers(start)) != oracle[start - 1:]:
+                        fail(trial, query, f"{name} answers({start}) differs from the oracle's tail")
             for k, expected in enumerate(oracle, 1):
                 got = engine.kth(k)
                 accesses += 1
@@ -104,7 +112,7 @@ def main() -> None:
                 except Exception as exc:  # any other error is a mismatch too
                     got = exc
                 fail(trial, query, f"{name} {probe} gave {got!r}, not ArgumentError")
-    print(f"ok: {args.iterations} instances, {accesses} accesses, engines agree")
+    print(f"ok: {args.iterations} instances, {accesses} accesses, {starts} walks from every start, engines agree")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ direct access then walks the circuit's universe (significance order,
 most significant variable first), maintaining the frontier of gates
 compatible with the bound prefix and answering one counting query per
 variable.  ``walk`` streams a window of consecutive tuples from one
-such descent, advancing its levels like an odometer.  All counts are
+such descent, advancing its levels like an odometer: each level keeps a
+slot with the decision gate that tests it, so a step re-descends only
+the levels it changes and builds no frontier.  All counts are
 exact Python integers, so nothing overflows even when they exceed
 machine words.  ``Provider`` is the contract every engine meets: the
 one place its arguments are checked.
@@ -203,32 +205,20 @@ def direct_access(c: Circuit, idx: AccessIndex, k: int, trail: list | None = Non
     return Assignment(bound)
 
 
-def _gate_on(c: Circuit, gates: tuple[int, ...], x: str) -> int | None:
-    """The frontier's decision gate on ``x``, or ``None`` when no gate tests it."""
-    for gid in gates:
-        g = c.gates[gid]
-        if isinstance(g, DecisionGate) and g.var == x:
-            return gid
-    return None
-
-
-def _rising(counts: list[int], i: int) -> int:
-    """First edge index from ``i`` on whose prefix count rises, or ``len(counts)``."""
-    below = counts[i - 1] if i else 0
-    while i < len(counts) and counts[i] == below:
-        i += 1
-    return i
-
-
 def walk(c: Circuit, idx: AccessIndex, start: int, stop: int) -> Iterator[tuple[str, ...]]:
     """Value tuples ``start .. stop-1`` (1-based) of the circuit's relation, in universe order.
 
-    One descent reaches ``start`` and keeps each level's frontier, gate
-    and option.  Each later tuple advances, as an odometer does, the
-    deepest level with a next option of nonzero count: the next edge
-    whose prefix count rises, or the next domain value on a level that
-    no gate tests.  Every level below restarts at its first such option.
-    A window costs one descent plus amortised odometer steps.
+    One descent, ``direct_access``'s, reaches ``start``; its trail gives
+    each level's slot (the frontier's decision gate on that level, or
+    ``None``) and option.  Each later tuple advances, as an odometer
+    does, the deepest level with a next option of nonzero count: the
+    next edge whose prefix count rises, or the next domain value on a
+    level with no gate.  The advance clears the slots that the crossings
+    at that level and below had filled, and the re-descent fills them
+    again from the chosen children's sinks (their decision gates, by
+    level), memoised per window.  So a step touches only the levels it
+    changes and builds no frontier; a window costs one descent plus
+    amortised odometer steps.
     """
     if start >= stop:
         return
@@ -237,33 +227,68 @@ def walk(c: Circuit, idx: AccessIndex, start: int, stop: int) -> Iterator[tuple[
         raise OutOfRangeError(f"window {start}..{stop - 1} outside 1..{total}")
     trail: list = []
     first = direct_access(c, idx, start, trail)
-    xs, dvalues, prefix_counts = c.universe.vars, c.domain.values, idx.prefix_counts
-    values = [first[x] for x in xs]
-    frontiers = [level[0] for level in trail]
-    gates = [level[1] for level in trail]
-    options = [level[2] for level in trail]
-    n, dsize = len(xs), len(dvalues)
+    dvalues, prefix_counts, gates, level = c.domain.values, idx.prefix_counts, c.gates, c.universe.position
+    last, dsize = len(c.universe) - 1, len(dvalues)
+    sinks: dict[int, tuple[tuple[int, int], ...]] = {}  # child -> its sinks' decision gates, by level
+
+    def sinks_of(child: int) -> tuple[tuple[int, int], ...]:
+        g = gates[child]
+        if isinstance(g, DecisionGate):  # its own sink: no product to dissolve
+            found = sinks[child] = ((level(g.var), child),)
+        else:
+            found = sinks[child] = tuple(
+                (level(gates[s].var), s) for s in _expand(c, [child]) if isinstance(gates[s], DecisionGate)
+            )
+        return found
+
+    slot = [g for _, g, _ in trail]
+    options = [i for _, _, i in trail]
+    # filled[q]: the slots that crossing level q filled; the last level fills none
+    filled = [() if g is None else sinks_of(gates[g].edges[i][1]) for g, i in zip(slot[:-1], options)]
+    values = [first[x] for x in c.universe.vars]
     yield tuple(values)
     for _ in range(stop - start - 1):
-        p = n - 1
+        p = last
         while True:  # the deepest level with a next option; the window check keeps p >= 0
-            gid = gates[p]
-            i = options[p] + 1 if gid is None else _rising(prefix_counts[gid], options[p] + 1)
-            if i < (dsize if gid is None else len(prefix_counts[gid])):
-                break
+            gid = slot[p]
+            i = options[p] + 1
+            if gid is None:
+                if i < dsize:
+                    break
+            else:
+                counts = prefix_counts[gid]
+                end = len(counts)
+                while i < end and counts[i] == counts[i - 1]:  # skip edges of zero count
+                    i += 1
+                if i < end:
+                    break
             p -= 1
-        while True:
+        if p < last:
+            for q in range(p, last):
+                for r, _ in filled[q]:
+                    slot[r] = None
+        while True:  # re-descend from p along each level's first option
             options[p] = i
             if gid is None:
                 values[p] = dvalues[i]
+                if p == last:
+                    break
+                filled[p] = ()
             else:
-                values[p], child = c.gates[gid].edges[i]
-            if p == n - 1:
-                break
+                values[p], child = gates[gid].edges[i]
+                if p == last:
+                    break
+                s = sinks.get(child)
+                filled[p] = s = sinks_of(child) if s is None else s
+                for r, g in s:
+                    slot[r] = g
             p += 1
-            frontiers[p] = after = frontiers[p - 1] if gid is None else _cross(c, frontiers[p - 1], gid, child)
-            gid = gates[p] = _gate_on(c, after, xs[p])
-            i = 0 if gid is None else _rising(prefix_counts[gid], 0)
+            gid = slot[p]
+            i = 0
+            if gid is not None:
+                counts = prefix_counts[gid]
+                while not counts[i]:
+                    i += 1
         yield tuple(values)
 
 

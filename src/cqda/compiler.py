@@ -305,7 +305,8 @@ class BinCodec:
     ``x^1`` is the least significant bit.  The tables are built once per
     codec: ``codes`` maps each value to its bits, ``values`` maps bits
     back, and ``bit_names`` gives each variable's bit variables, least
-    significant first.
+    significant first.  ``values_msb`` maps bits back most significant
+    first, the order a significance order lists a variable's bits in.
     """
 
     source_domain: Domain
@@ -313,12 +314,14 @@ class BinCodec:
     variables: tuple[str, ...]
     codes: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
     values: dict[tuple[str, ...], str] = field(init=False, compare=False, repr=False)
+    values_msb: dict[tuple[str, ...], str] = field(init=False, compare=False, repr=False)
     bit_names: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         codes = {value: _bits(code, self.bits) for code, value in enumerate(self.source_domain.values)}
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "values", {bits: value for value, bits in codes.items()})
+        object.__setattr__(self, "values_msb", {bits[::-1]: value for value, bits in codes.items()})
         names = {var: tuple(f"{var}^{i}" for i in range(1, self.bits + 1)) for var in self.variables}
         object.__setattr__(self, "bit_names", names)
 

@@ -88,13 +88,14 @@ class CircuitEngine(acc.Provider):
         return debin_tuple(raw, self.codec)
 
     def _answers(self, ks: range) -> Iterator[Assignment]:
-        """One ``access.walk`` over the window; a bit tuple decodes through ``codec.values``."""
+        """One ``access.walk`` over the window.  A bit tuple holds each variable's bits as one
+        contiguous block, most significant first, which decodes through ``codec.values_msb``."""
         names, tuples = self.universe.vars, acc.walk(self.circuit, self.index, ks.start, ks.stop)
         if self.codec is None:
             return (Assignment(zip(names, t)) for t in tuples)
-        position, decode = self.circuit.universe.position, self.codec.values
-        bits = [[position(b) for b in self.codec.bit_names[v]] for v in names]  # least significant first
-        return (Assignment(zip(names, [decode[tuple(map(t.__getitem__, ix))] for ix in bits])) for t in tuples)
+        position, decode, width = self.circuit.universe.position, self.codec.values_msb, self.codec.bits
+        blocks = [slice(at, at + width) for at in (position(self.codec.bit_names[v][-1]) for v in names)]
+        return (Assignment(zip(names, [decode[t[b]] for b in blocks])) for t in tuples)
 
     def _rank_of(self, t: Mapping[str, str]) -> int:
         if self.codec is not None:

@@ -194,6 +194,32 @@ def test_walk_equals_direct_access_on_every_window():
     assert list(walk(top, preprocess(top), 1, 2)) == [()]
 
 
+def test_walk_slots_filled_above_an_advance_survive_it():
+    # A product of a gate on x0 (its children test x2) and a gate on x1 (its children test x3),
+    # so the crossings at levels 0 and 1 fill interleaved slots; no gate tests x4.
+    c = Circuit(Domain(("a", "b", "c")), VarOrder(("x0", "x1", "x2", "x3", "x4")))
+    top = c.top()
+    x2_ac = c.add_decision("x2", [("a", top), ("c", top)])
+    x2_b = c.add_decision("x2", [("b", top)])
+    dead = c.add_product([c.bot(), x2_b])
+    x0 = c.add_decision("x0", [("a", x2_ac), ("b", dead), ("c", x2_b)])  # x0=b has zero count
+    x3_ab = c.add_decision("x3", [("a", top), ("b", top)])
+    x1 = c.add_decision("x1", [("a", x3_ab), ("b", top)])  # x1=b leaves x3 free
+    c.set_output(c.add_product([x0, x1]))
+    idx = preprocess(c)
+    n = count(c, idx)
+    tuples = [tuple(direct_access(c, idx, k)[x] for x in c.universe.vars) for k in range(1, n + 1)]
+    assert n == 45 and len(set(tuples)) == n
+    # Advancing x1 from a to b must keep the x2 slot that the crossing at x0 filled, or x2 would
+    # range over the whole domain, and must clear the x3 slot the crossing at x1 filled, or x3
+    # would stay limited to a and b.
+    assert ("a", "a", "a", "b", "c") in tuples and ("a", "b", "a", "c", "a") in tuples
+    assert not any(t[0] == "a" and t[2] == "b" for t in tuples)
+    for start in range(1, n + 2):
+        for stop in range(start, n + 2):
+            assert list(walk(c, idx, start, stop)) == tuples[start - 1:stop - 1]
+
+
 def test_rank_of_absent_tuple_counts_predecessors():
     c = Circuit(Domain(("0", "1", "2")), VarOrder(("x",)))
     c.set_output(c.add_decision("x", [("0", c.top()), ("2", c.top())]))

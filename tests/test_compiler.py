@@ -172,6 +172,7 @@ def test_codec_tables():
     codec = BinCodec(Domain(("a", "b", "c")), 2, ("x", "y"))
     assert codec.bit_names == {"x": ("x^1", "x^2"), "y": ("y^1", "y^2")}
     assert codec.values == {("0", "0"): "a", ("1", "0"): "b", ("0", "1"): "c"}
+    assert codec.values_msb == {("0", "0"): "a", ("0", "1"): "b", ("1", "0"): "c"}
     assert codec.encode_assignment({"x": "b", "y": "c"}) == Assignment(
         {"x^1": "1", "x^2": "0", "y^1": "0", "y^2": "1"}
     )

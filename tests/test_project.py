@@ -392,11 +392,30 @@ def test_answers_walk_equals_kth(inst, data):
 def test_a_window_costs_one_descent(ex51, monkeypatch, binarize):
     q, db, order = ex51
     engine = da_conjunctive(q, db, order, binarize=binarize)
-    levels = []
-    oracle = access._oracle
+    levels, crossings, expanded = [], [], []
+    oracle, cross, expand, descend = access._oracle, access._cross, access._expand, access.direct_access
+
+    def descending(*args):
+        first = descend(*args)
+        expanded.clear()  # the descent's own: the root's and one per crossing
+        return first
+
+    def expanding(c, gates):
+        expanded.append(tuple(gates))
+        return expand(c, expanded[-1])
+
     monkeypatch.setattr(access, "_oracle", lambda c, idx, gates, p, n: levels.append(p) or oracle(c, idx, gates, p, n))
+    monkeypatch.setattr(access, "_cross", lambda c, gates, gid, child: crossings.append(gid) or cross(c, gates, gid, child))
+    monkeypatch.setattr(access, "_expand", expanding)
+    monkeypatch.setattr(access, "direct_access", descending)
+    n = len(engine.circuit.universe)
     for start, limit in ((1, 8), (2, 6), (5, 2)):
         levels.clear()
+        crossings.clear()
         assert len(list(engine.answers(start, limit))) == limit
         # one oracle call per level of one descent, not one descent per answer
-        assert levels == list(range(len(engine.circuit.universe)))
+        assert levels == list(range(n))
+        # only that descent crosses gates into frontier tuples: none per answer
+        assert len(crossings) <= n
+        # and the walk expands each child it crosses once
+        assert len(expanded) == len(set(expanded))
