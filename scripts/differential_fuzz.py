@@ -9,7 +9,7 @@ which stream a window by one descent and an odometer walk) and the
 subtraction-based reduction engine.  On the circuit engines, an
 instance with at most 64 answers also checks ``answers(start)`` for
 every start from 1 to one past the last answer, so the walk starts
-from every descent's trail.  Each engine must also refuse
+from every descent's slots.  Each engine must also refuse
 ``kth(1.5)`` and a rank tuple with a variable beyond its universe with
 ``ArgumentError``.  Each instance is also
 given a head, a random prefix of its significance order, and the

@@ -2,16 +2,18 @@
 
 The preprocessing fills, bottom-up, the tuple count of every gate and
 the running prefix counts along each decision gate's sorted edges.  A
-direct access then walks the circuit's universe (significance order,
-most significant variable first), maintaining the frontier of gates
-compatible with the bound prefix and answering one counting query per
-variable.  ``walk`` streams a window of consecutive tuples from one
-such descent, advancing its levels like an odometer: each level keeps a
-slot with the decision gate that tests it, so a step re-descends only
-the levels it changes and builds no frontier.  All counts are
-exact Python integers, so nothing overflows even when they exceed
-machine words.  ``Provider`` is the contract every engine meets: the
-one place its arguments are checked.
+direct access then makes one descent over the circuit's universe
+(significance order, most significant variable first), answering one
+counting query per variable.  The descent keeps one slot per level: the
+decision gate that tests it below the bound prefix, or none.  Crossing
+a gate fills the slots below from the chosen child's sinks, its
+decision gates once products dissolve.  ``frontier`` runs the same
+descent by value, and ``walk`` streams a window of consecutive tuples
+from one descent, advancing its levels like an odometer, so a step
+re-descends only the levels it changes.  All counts are exact Python
+integers, so nothing overflows even when they exceed machine words.
+``Provider`` is the contract every engine meets: the one place its
+arguments are checked.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .circuit import BotGate, Circuit, DecisionGate, ProductGate, TopGate
-from .errors import ArgumentError, NotAPrefixError, OutOfRangeError, UnsatisfiableError
+from .errors import ArgumentError, NotAPrefixError, OutOfRangeError
 from .relations import Assignment, Domain, VarOrder, lex_compare
 
 
@@ -78,174 +80,148 @@ def count(c: Circuit, idx: AccessIndex) -> int:
     return idx.rel_count[c.output] * len(c.domain.values) ** free
 
 
-def _expand(c: Circuit, gates: Iterator[int] | list[int]) -> tuple[int, ...] | None:
-    """Replace product gates by their sinks; ``None`` once a Bot appears."""
-    out: list[int] = []
-    stack = list(gates)
+def _sinks(c: Circuit, gid: int, memo: dict) -> tuple[tuple[int, int], ...] | None:
+    """Decision gates of gate ``gid``, as ``(level, gate)`` pairs, once products dissolve and Top drops.
+
+    ``level`` is the tested variable's universe position.  ``None`` once a
+    Bot appears: no tuple passes the gate.  The result is stored in
+    ``memo`` under ``gid``; callers read ``memo`` first.
+    """
+    gates, level = c.gates, c.universe.position
+    found: list[tuple[int, int]] = []
+    stack = [gid]
     while stack:
-        gid = stack.pop()
-        g = c.gates[gid]
-        if isinstance(g, ProductGate):
+        s = stack.pop()
+        g = gates[s]
+        if isinstance(g, DecisionGate):
+            found.append((level(g.var), s))
+        elif isinstance(g, ProductGate):
             stack.extend(g.children)
         elif isinstance(g, BotGate):
+            memo[gid] = None
             return None
-        else:
-            out.append(gid)
-    return tuple(out)
+    memo[gid] = result = tuple(found)
+    return result
 
 
 def frontier(c: Circuit, idx: AccessIndex, tau: Mapping[str, str]) -> tuple[int, ...] | None:
-    """Pairwise variable-disjoint gates left after committing a prefix assignment of the universe.
+    """Pairwise variable-disjoint decision gates left after committing a prefix assignment of the universe.
 
-    Starting from the output, product gates dissolve into their sinks;
-    the bound variables are taken in universe order, and the frontier's
-    decision gate on each is crossed along the matching edge.  A missing
-    edge or a Bot gate gives ``None``: no extension of the prefix is an
-    answer.  A value outside the domain raises ``ValueError``.
+    The descent by value: starting from the output's sinks, each bound
+    variable's slot gate, if any, is crossed along the edge matching its
+    value, and the child's sinks fill the slots below.  The result is the
+    filled slots past the prefix.  A missing edge or a Bot gate gives
+    ``None``: no extension of the prefix is an answer.  A value outside
+    the domain raises ``ValueError``.
     """
     prefix = c.universe.vars[: len(tau)]
     if set(prefix) != set(tau):
         raise NotAPrefixError("assignment must bind a prefix of the universe order")
-    for value in tau.values():
-        c.domain.rank(value)  # raises ValueError for a value outside the domain
-    gates = _expand(c, [c.output])
-    for x in prefix:
-        for gid in gates or ():
-            g = c.gates[gid]
-            if isinstance(g, DecisionGate) and g.var == x:
-                gates = _cross(c, gates, gid, _edge_child(c, g, tau[x]))
-                break
-    return gates
-
-
-def _cross(c: Circuit, gates: tuple[int, ...], gid: int, child: int | None) -> tuple[int, ...] | None:
-    """Frontier after crossing decision gate ``gid`` into ``child``; ``None`` once empty."""
-    expanded = None if child is None else _expand(c, [child])
-    return None if expanded is None else tuple(g for g in gates if g != gid) + expanded
-
-
-def _edge_child(c: Circuit, g: DecisionGate, value: str) -> int | None:
-    """Child behind the edge labelled ``value``, or ``None`` without one."""
     rank = c.domain.rank
-    i = bisect_left(g.edges, rank(value), key=lambda e: rank(e[0]))
-    if i < len(g.edges) and g.edges[i][0] == value:
-        return g.edges[i][1]
-    return None
+    for value in tau.values():
+        rank(value)  # raises ValueError for a value outside the domain
+    slot: list[int | None] = [None] * len(c.universe)
+    child: int | None = c.output
+    memo: dict = {}
+    for p in range(len(prefix) + 1):
+        sinks = () if child is None else _sinks(c, child, memo)
+        if sinks is None:
+            return None
+        for r, g in sinks:
+            slot[r] = g
+        if p == len(prefix):
+            return tuple(g for g in slot[p:] if g is not None)
+        gid, child, value = slot[p], None, tau[prefix[p]]
+        if gid is not None:  # a level with no gate takes any value
+            edges = c.gates[gid].edges
+            i = bisect_left(edges, rank(value), key=lambda e: rank(e[0]))
+            if i == len(edges) or edges[i][0] != value:
+                return None
+            child = edges[i][1]
 
 
-def _oracle(c: Circuit, idx: AccessIndex, gates: tuple[int, ...], p: int, n: int):
-    """Smallest value for variable ``p`` reaching ``n`` extensions, and the
-    count of extensions strictly below it.
+def _descend(c: Circuit, idx: AccessIndex, k: int, memo: dict):
+    """The top-down counting pass to the k-th tuple (1-based, within ``count``).
 
-    Returns ``(value, below, after, gate, i)`` where ``after`` is the
-    frontier once ``p`` is bound to ``value``: ``gate``, the frontier's
-    decision gate on ``p`` if any, is crossed along its edge ``i``;
-    without one, ``i`` is the value's 0-based position in the domain.
-    ``None`` means the edge led to an empty branch.
+    ``slot[p]`` is the decision gate that tests level ``p``, or ``None``;
+    ``product`` and ``mask`` are the count and the variable mask of the
+    gates still below the bound prefix.  At a gated level the other
+    gates' count times the free padding scales the gate's prefix counts,
+    and a bisect picks the first edge reaching ``k`` (never one of zero
+    count); crossing it refills the slots from the child's sinks, read
+    through ``memo``.  A level with no gate takes the ``k``-th block of
+    the domain.  Returns ``(slot, values, options, filled)``: per level
+    the slot gate, the value, the edge index (or the value's 0-based
+    position on a gateless level) and the sinks that its crossing filled.
     """
-    dsize = len(c.domain)
-    x = c.universe.vars[p]
-    var_mask = 0
-    gate_on_x = None
-    for gid in gates:
-        var_mask |= idx.var_mask[gid]
-        g = c.gates[gid]
-        if isinstance(g, DecisionGate) and g.var == x:
-            gate_on_x, edges = gid, g.edges
-    free_rest = (len(c.universe) - p) - var_mask.bit_count()
+    gates, rel_count, var_mask, prefix_counts = c.gates, idx.rel_count, idx.var_mask, idx.prefix_counts
+    dvalues = c.domain.values
+    dsize, n = len(dvalues), len(c.universe)
+    slot: list[int | None] = [None] * n
+    values: list[str] = [""] * n
+    options = [0] * n
+    filled: list[tuple[tuple[int, int], ...]] = [()] * n
+    for r, g in _sinks(c, c.output, memo):
+        slot[r] = g
+    product, mask = rel_count[c.output], var_mask[c.output]
+    for p in range(n):
+        free = n - p - mask.bit_count()  # levels from p on that no gate below the prefix mentions
+        gid = slot[p]
+        if gid is None:
+            scale = product * dsize ** (free - 1)
+            i = (k - 1) // scale
+            k -= i * scale
+            values[p] = dvalues[i]
+        else:
+            product //= rel_count[gid]
+            mask &= ~var_mask[gid]
+            scale = product * dsize**free
+            counts = prefix_counts[gid]
+            i = bisect_left(counts, -(-k // scale))
+            if i:
+                k -= counts[i - 1] * scale
+            values[p], child = gates[gid].edges[i]
+            s = memo.get(child)
+            filled[p] = s = _sinks(c, child, memo) if s is None else s
+            for r, g in s:
+                slot[r] = g
+            product *= rel_count[child]
+            mask |= var_mask[child]
+        options[p] = i
+    return slot, values, options, filled
 
-    if gate_on_x is not None:
-        product = dsize**free_rest
-        for gid in gates:
-            if gid != gate_on_x:
-                product *= idx.rel_count[gid]
-        if product == 0:
-            raise OutOfRangeError("no extension below this prefix")
-        target = -(-n // product)  # ceil
-        counts = idx.prefix_counts[gate_on_x]
-        i = bisect_left(counts, target)
-        if i == len(counts):
-            raise OutOfRangeError("n exceeds the number of extensions")
-        below = counts[i - 1] * product if i > 0 else 0
-        value, child = edges[i]
-        return value, below, _cross(c, gates, gate_on_x, child), gate_on_x, i
 
-    product = dsize ** (free_rest - 1)
-    for gid in gates:
-        product *= idx.rel_count[gid]
-    if product == 0:
-        raise OutOfRangeError("no extension below this prefix")
-    r = -(-n // product)
-    if r > dsize:
-        raise OutOfRangeError("n exceeds the number of extensions")
-    return c.domain.value_at(r), (r - 1) * product, gates, None, r - 1
-
-
-def direct_access(c: Circuit, idx: AccessIndex, k: int, trail: list | None = None) -> Assignment:
-    """The k-th tuple (1-based) of the circuit's relation in its universe order.
-
-    ``trail``, when given, receives one ``(frontier, gate, option)`` per
-    level: the frontier before the level's variable is bound, and
-    ``_oracle``'s gate and option there.
-    """
+def direct_access(c: Circuit, idx: AccessIndex, k: int) -> Assignment:
+    """The k-th tuple (1-based) of the circuit's relation in its universe order, by one ``_descend``."""
     total = count(c, idx)
     if k < 1 or k > total:
         raise OutOfRangeError(f"k out of range (count={total})")
-    gates = _expand(c, [c.output])
-    bound: dict[str, str] = {}
-    for p in range(len(c.universe)):
-        value, below, after, gate, i = _oracle(c, idx, gates, p, k)
-        if after is None:
-            raise UnsatisfiableError("descended into an empty branch")
-        if trail is not None:
-            trail.append((gates, gate, i))
-        bound[c.universe.vars[p]] = value
-        gates = after
-        k -= below
-    return Assignment(bound)
+    return Assignment(zip(c.universe.vars, _descend(c, idx, k, {})[1]))
 
 
 def walk(c: Circuit, idx: AccessIndex, start: int, stop: int) -> Iterator[tuple[str, ...]]:
     """Value tuples ``start .. stop-1`` (1-based) of the circuit's relation, in universe order.
 
-    One descent, ``direct_access``'s, reaches ``start``; its trail gives
-    each level's slot (the frontier's decision gate on that level, or
-    ``None``) and option.  Each later tuple advances, as an odometer
-    does, the deepest level with a next option of nonzero count: the
-    next edge whose prefix count rises, or the next domain value on a
-    level with no gate.  The advance clears the slots that the crossings
-    at that level and below had filled, and the re-descent fills them
-    again from the chosen children's sinks (their decision gates, by
-    level), memoised per window.  So a step touches only the levels it
-    changes and builds no frontier; a window costs one descent plus
-    amortised odometer steps.
+    One ``_descend`` reaches ``start`` and leaves its per-level state:
+    each level's slot (the decision gate testing it, or ``None``),
+    option, and the sinks its crossing filled.  Each later tuple
+    advances, as an odometer does, the deepest level with a next option
+    of nonzero count: the next edge whose prefix count rises, or the next
+    domain value on a level with no gate.  The advance clears the slots
+    that the crossings at that level and below had filled, and the
+    re-descent fills them again from the chosen children's sinks, read
+    through the descent's memo.  So a step touches only the levels it
+    changes, and a window costs one descent plus amortised odometer steps.
     """
     if start >= stop:
         return
     total = count(c, idx)
     if start < 1 or stop - 1 > total:
         raise OutOfRangeError(f"window {start}..{stop - 1} outside 1..{total}")
-    trail: list = []
-    first = direct_access(c, idx, start, trail)
-    dvalues, prefix_counts, gates, level = c.domain.values, idx.prefix_counts, c.gates, c.universe.position
+    sinks: dict[int, tuple[tuple[int, int], ...] | None] = {}  # child -> its sinks, by level
+    slot, values, options, filled = _descend(c, idx, start, sinks)
+    dvalues, prefix_counts, gates = c.domain.values, idx.prefix_counts, c.gates
     last, dsize = len(c.universe) - 1, len(dvalues)
-    sinks: dict[int, tuple[tuple[int, int], ...]] = {}  # child -> its sinks' decision gates, by level
-
-    def sinks_of(child: int) -> tuple[tuple[int, int], ...]:
-        g = gates[child]
-        if isinstance(g, DecisionGate):  # its own sink: no product to dissolve
-            found = sinks[child] = ((level(g.var), child),)
-        else:
-            found = sinks[child] = tuple(
-                (level(gates[s].var), s) for s in _expand(c, [child]) if isinstance(gates[s], DecisionGate)
-            )
-        return found
-
-    slot = [g for _, g, _ in trail]
-    options = [i for _, _, i in trail]
-    # filled[q]: the slots that crossing level q filled; the last level fills none
-    filled = [() if g is None else sinks_of(gates[g].edges[i][1]) for g, i in zip(slot[:-1], options)]
-    values = [first[x] for x in c.universe.vars]
     yield tuple(values)
     for _ in range(stop - start - 1):
         p = last
@@ -263,10 +239,9 @@ def walk(c: Circuit, idx: AccessIndex, start: int, stop: int) -> Iterator[tuple[
                 if i < end:
                     break
             p -= 1
-        if p < last:
-            for q in range(p, last):
-                for r, _ in filled[q]:
-                    slot[r] = None
+        for q in range(p, last):
+            for r, _ in filled[q]:
+                slot[r] = None
         while True:  # re-descend from p along each level's first option
             options[p] = i
             if gid is None:
@@ -279,7 +254,7 @@ def walk(c: Circuit, idx: AccessIndex, start: int, stop: int) -> Iterator[tuple[
                 if p == last:
                     break
                 s = sinks.get(child)
-                filled[p] = s = sinks_of(child) if s is None else s
+                filled[p] = s = _sinks(c, child, sinks) if s is None else s
                 for r, g in s:
                     slot[r] = g
             p += 1

@@ -60,10 +60,6 @@ class NotAPrefixError(CqdaError):
     """A partial assignment does not bind a prefix of the access order."""
 
 
-class UnsatisfiableError(CqdaError):
-    """The committed prefix admits no extension to an answer."""
-
-
 class NotFreeConnexError(CqdaError):
     """The free variables are not a contiguous leading block of the order."""
 

@@ -11,8 +11,6 @@ import itertools
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
-from .errors import OutOfRangeError
-
 LT, EQ, GT = -1, 0, 1
 
 
@@ -48,11 +46,6 @@ class Domain:
             return self._pos[value]
         except KeyError:
             raise ValueError(f"value {value!r} outside the domain") from None
-
-    def value_at(self, rank: int) -> str:
-        if not 1 <= rank <= len(self.values):
-            raise OutOfRangeError(f"rank {rank} outside 1..{len(self.values)}")
-        return self.values[rank - 1]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from conftest import annotated_circuit, example51_db, example51_query, make_instance
-from cqda.access import count, direct_access, frontier, preprocess
+from cqda.access import _descend, count, direct_access, frontier, preprocess
 from cqda.circuit import DecisionGate, ProductGate, circuit_size
 from cqda.compiler import binarize, compile_binarized, dpll_compile
 from cqda.hypergraph import (
@@ -147,6 +147,25 @@ def test_criterion_2_second_engine_agreement(sweep):
     )
     assert not sweep["crit2_failures"]
     assert sweep["crit2_elapsed"] < 60
+
+
+def test_count_descent_fills_the_value_descents_slots(sweep):
+    # For every answer k and level q, the gate that the count descent to k left in slot q is the
+    # decision gate on q of the value descent's frontier after the first q values of kth(k).
+    for inst in sweep["instances"]:
+        circuit, _ = dpll_compile(inst.query, inst.db, inst.order.reversed())
+        idx = preprocess(circuit)
+        universe = circuit.universe.vars
+        on_level: dict[tuple[str, ...], int | None] = {}  # prefix values -> gate on the next level
+        for k in range(1, count(circuit, idx) + 1):
+            slot = _descend(circuit, idx, k, {})[0]
+            t = direct_access(circuit, idx, k)
+            for q, x in enumerate(universe):
+                prefix = tuple(t[v] for v in universe[:q])
+                if prefix not in on_level:
+                    gates = frontier(circuit, idx, dict(zip(universe, prefix)))
+                    on_level[prefix] = next((g for g in gates if circuit.gates[g].var == x), None)
+                assert slot[q] == on_level[prefix], (inst, k, q)
 
 
 def test_criterion_3_worked_example():

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import annotated_circuit, instances, kth_tuple_bruteforce, select_prefix
-from cqda import access
 from cqda.access import AccessIndex, answer_window, count, direct_access, frontier, preprocess, rank, walk
 from cqda.circuit import Circuit, DecisionGate, ProductGate, semantics_bruteforce
 from cqda.compiler import dpll_compile
-from cqda.errors import NotAPrefixError, OutOfRangeError, UnsatisfiableError
+from cqda.errors import NotAPrefixError, OutOfRangeError
 from cqda.query import SignedQuery, Atom, eval_bruteforce, parse_query
 from cqda.relations import (
     Assignment,
@@ -22,8 +21,24 @@ from cqda.relations import (
 )
 
 
+class DeadPrefixError(Exception):
+    """The committed prefix admits no extension to an answer."""
+
+
+def extensions(c: Circuit, idx: AccessIndex, tau: Mapping[str, str]) -> int:
+    """Tuples extending prefix ``tau``: its frontier's counts times the free padding (0 when dead)."""
+    gates = frontier(c, idx, tau)
+    if gates is None:
+        return 0
+    product, mask = 1, 0
+    for gid in gates:
+        product *= idx.rel_count[gid]
+        mask |= idx.var_mask[gid]
+    return product * len(c.domain) ** (len(c.universe) - len(tau) - mask.bit_count())
+
+
 def count_leq(c: Circuit, idx: AccessIndex, tau: Mapping[str, str], n: int) -> tuple[str, int]:
-    """Counting oracle for the first unbound variable after prefix ``tau``.
+    """Counting oracle for the first unbound variable after prefix ``tau``, on the value descent.
 
     Returns the smallest domain value ``d`` such that at least ``n``
     tuples extend ``tau`` with the next variable at most ``d``, together
@@ -33,11 +48,15 @@ def count_leq(c: Circuit, idx: AccessIndex, tau: Mapping[str, str], n: int) -> t
         raise NotAPrefixError("prefix already binds every variable")
     if n < 1:
         raise OutOfRangeError("n must be at least 1")
-    gates = frontier(c, idx, tau)
-    if gates is None:
-        raise UnsatisfiableError("prefix admits no extension")
-    value, below = access._oracle(c, idx, gates, len(tau), n)[:2]
-    return value, below
+    if frontier(c, idx, tau) is None:
+        raise DeadPrefixError("prefix admits no extension")
+    x, below = c.universe.vars[len(tau)], 0
+    for value in c.domain.values:
+        here = extensions(c, idx, {**tau, x: value})
+        if below + here >= n:
+            return value, below
+        below += here
+    raise OutOfRangeError("n exceeds the number of extensions")
 
 
 def test_preprocess_top_only():
@@ -122,7 +141,11 @@ def test_count_leq_on_annotated_circuit():
     assert count_leq(c, idx, {}, 14) == ("2", 10)
     # after x1 <- 1 the next variable x2 is free with P = 2, |D| = 3
     assert count_leq(c, idx, {"x1": "1"}, 3) == ("1", 2)
-    with pytest.raises(UnsatisfiableError):
+    # the same points on the count descent: answers 5..10 bind x1 to 1, and 7 and 8 also x2
+    x1 = [direct_access(c, idx, k)["x1"] for k in range(1, 15)]
+    assert x1 == ["0"] * 4 + ["1"] * 6 + ["2"] * 4
+    assert [direct_access(c, idx, k)["x2"] for k in range(5, 11)] == ["0", "0", "1", "1", "2", "2"]
+    with pytest.raises(DeadPrefixError):
         count_leq(c, idx, {"x1": "2", "x2": "1"}, 1)
     with pytest.raises(NotAPrefixError):
         count_leq(c, idx, {"x1": "0", "x2": "0", "x3": "2"}, 1)
@@ -276,18 +299,7 @@ def test_frontier_identity(inst):
     for p in range(len(universe) + 1):
         for values in itertools.islice(itertools.product(db.domain.values, repeat=p), 10):
             tau = dict(zip(universe.vars[:p], values))
-            gates = frontier(circuit, idx, tau)
-            selected = len(select_prefix(rel, tau).rows)
-            if gates is None:
-                assert selected == 0
-                continue
-            product = 1
-            for gid in gates:
-                product *= idx.rel_count[gid]
-            free = len(universe) - p - sum(
-                bin(idx.var_mask[g]).count("1") for g in gates
-            )
-            assert selected == product * len(db.domain) ** free
+            assert extensions(circuit, idx, tau) == len(select_prefix(rel, tau).rows)
 
 
 @given(instances())

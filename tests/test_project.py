@@ -392,30 +392,32 @@ def test_answers_walk_equals_kth(inst, data):
 def test_a_window_costs_one_descent(ex51, monkeypatch, binarize):
     q, db, order = ex51
     engine = da_conjunctive(q, db, order, binarize=binarize)
-    levels, crossings, expanded = [], [], []
-    oracle, cross, expand, descend = access._oracle, access._cross, access._expand, access.direct_access
+    c, idx = engine.circuit, engine.index
+    universe = c.universe.vars
 
-    def descending(*args):
-        first = descend(*args)
-        expanded.clear()  # the descent's own: the root's and one per crossing
-        return first
+    def path(k: int) -> set[int]:
+        # the output and the child crossed at each gated level, found by value
+        t = direct_access(c, idx, k)
+        found = {c.output}
+        for p, x in enumerate(universe):
+            for gid in access.frontier(c, idx, {v: t[v] for v in universe[:p]}):
+                if c.gates[gid].var == x:
+                    found.add(dict(c.gates[gid].edges)[t[x]])
+        return found
 
-    def expanding(c, gates):
-        expanded.append(tuple(gates))
-        return expand(c, expanded[-1])
-
-    monkeypatch.setattr(access, "_oracle", lambda c, idx, gates, p, n: levels.append(p) or oracle(c, idx, gates, p, n))
-    monkeypatch.setattr(access, "_cross", lambda c, gates, gid, child: crossings.append(gid) or cross(c, gates, gid, child))
-    monkeypatch.setattr(access, "_expand", expanding)
-    monkeypatch.setattr(access, "direct_access", descending)
-    n = len(engine.circuit.universe)
-    for start, limit in ((1, 8), (2, 6), (5, 2)):
-        levels.clear()
-        crossings.clear()
+    paths = {k: path(k) for k in (3, 8)}
+    descents, looked_up = [], []
+    descend, sinks = access._descend, access._sinks
+    monkeypatch.setattr(access, "_descend", lambda c, idx, k, memo: descents.append(k) or descend(c, idx, k, memo))
+    monkeypatch.setattr(access, "_sinks", lambda c, gid, memo: looked_up.append(gid) or sinks(c, gid, memo))
+    for start, limit in ((1, 8), (2, 6), (5, 2), (3, 1), (8, 1)):
+        descents.clear()
+        looked_up.clear()
         assert len(list(engine.answers(start, limit))) == limit
-        # one oracle call per level of one descent, not one descent per answer
-        assert levels == list(range(n))
-        # only that descent crosses gates into frontier tuples: none per answer
-        assert len(crossings) <= n
-        # and the walk expands each child it crosses once
-        assert len(expanded) == len(set(expanded))
+        # one descent per window, not one per answer
+        assert descents == [start]
+        # and the window looks up each child's sinks once
+        assert len(looked_up) == len(set(looked_up))
+        if limit == 1:
+            # a one-answer window looks up only the sinks on its own descent path
+            assert set(looked_up) == paths[start]
