@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation smoke test: fixed mutants of the access descent, each killed by a named tier-1 test.
+"""Mutation smoke test: fixed mutants of access, decoding and projection, each killed by named tier-1 tests.
 
 Each mutant replaces one snippet of a source file in a temporary copy of
 ``src/`` and ``tests/``, then runs the tests it names with ``pytest -x``.
@@ -26,6 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ACCESS = "src/cqda/access.py"
+COMPILER = "src/cqda/compiler.py"
+PROJECT = "src/cqda/project.py"
 ORACLE = "tests/test_access.py::test_direct_access_matches_oracle_everywhere"
 
 
@@ -74,6 +76,38 @@ MUTANTS = (
         "                    i += 1\n",
         "",
         ("tests/test_access.py::test_walk_equals_direct_access_on_every_window",),
+    ),
+    Mutant(
+        "the decode table is keyed least significant bit first",
+        COMPILER,
+        '"values", {bits[::-1]: value for value, bits in codes.items()}',
+        '"values", {bits: value for value, bits in codes.items()}',
+        (
+            "tests/test_compiler.py::test_codec_tables",
+            "tests/test_compiler.py::test_one_decode_table_over_domain_sizes",
+            "tests/test_project.py::test_answers_walk_equals_kth",
+        ),
+    ),
+    Mutant(
+        "a binarized window cuts each answer variable's bits one position late",
+        PROJECT,
+        "slice(at, at + width)",
+        "slice(at + 1, at + width + 1)",
+        ("tests/test_project.py::test_answers_walk_equals_kth",),
+    ),
+    Mutant(
+        "a raw window runs one kth per answer instead of one walk",
+        PROJECT,
+        "            return (Assignment(zip(names, t)) for t in tuples)\n",
+        "            return map(self._kth, ks)\n",
+        ("tests/test_project.py::test_a_window_costs_one_descent",),
+    ),
+    Mutant(
+        "an existential call tries every value after its first model",
+        COMPILER,
+        "                        found = True\n                        break\n",
+        "                        found = True\n",
+        ("tests/test_project.py::test_an_existential_call_stops_at_its_first_model",),
     ),
 )
 

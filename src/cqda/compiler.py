@@ -20,17 +20,17 @@ after it is compiled.  Calls are generators: a product yields each
 component's call, and one loop runs the calls on an explicit stack, so
 deep orders never meet Python's recursion limit.
 
-That loop caches each call by the identity of its plan entry (its
-atoms, which of their variables are bound, and the variable its gate
-tests) plus, per atom, the identity of its residual subtrie: the trie
-node its bound levels reach.  ``Relation.trie`` makes equal subtries one
-object, so equal identities mean equal residual relations.  The key is
-sound because a call's circuit depends only on those residual relations
-and on the variables the plan entry names, and the plan entry fixes the
-atoms, so each key position only ever compares nodes of one atom's
-trie.  Equal bound values reach the same node, so the key is never finer
-than keying by the bound values; it is the component caching of #SAT
-compilers applied to shared subtries.
+That loop caches each call by the identity of its plan entry (its atoms
+and the variable its gate tests, which fix the bound variables as the
+atoms' variables above it) plus, per atom, the identity of its residual
+subtrie: the trie node its bound levels reach.  ``Relation.trie`` makes
+equal subtries one object, so equal identities mean equal residual
+relations.  The key is sound because a call's circuit depends only on
+those residual relations and on the variables the plan entry names, and
+the plan entry fixes the atoms, so each key position only ever compares
+nodes of one atom's trie.  Equal bound values reach the same node, so
+the key is never finer than keying by the bound values; it is the
+component caching of #SAT compilers applied to shared subtries.
 
 A query with a head is projected while it compiles, as projected model
 counters do (#∃SAT; Lagniez and Marquis's recursive projected
@@ -171,23 +171,22 @@ def dpll_compile(
     def plan(aids: tuple, px: int) -> list:
         """Calls left once the variables at position >= px are bound.
 
-        One ``(atoms, bound variables by name, variable x to branch on,
-        (atom, positive, x is its last level) per atom on x)`` per
-        component.  Variables are bound in decreasing position, so which
-        ones are bound, and so the split, depends on px alone.
+        One ``(atoms, variable x to branch on, (atom, positive, x is its
+        last level) per atom on x)`` per component.  Variables are bound in
+        decreasing position, so the split depends on px alone, x is the
+        component's open variable of largest position, and its bound
+        variables are exactly those above x.
         """
         key = (aids, px)
         got = plans.get(key)
         if got is None:
             got = []
             for comp in split_components(aids, px):
-                vs = sorted({v for aid in comp for v in arg_sets[aid]})
-                bound = tuple(v for v in vs if position[v] >= px)
-                x = max((v for v in vs if position[v] < px), key=position.__getitem__)
+                x = max((v for aid in comp for v in arg_sets[aid] if position[v] < px), key=position.__getitem__)
                 on_x = tuple(
                     (aid, atoms[aid].positive, levels[aid][-1] == x) for aid in comp if x in var_sets[aid]
                 )
-                entry = (comp, bound, x, on_x)
+                entry = (comp, x, on_x)
                 got.append(entries.setdefault(entry, entry))
             plans[key] = got
         return got
@@ -215,7 +214,7 @@ def dpll_compile(
 
     def branch(call: tuple):
         """Decision gate of one call, or ``_EMPTY``; ``_TOP`` for an existential call with a model."""
-        aids, _, x, on_x = call
+        aids, x, on_x = call
         existential = position[x] < cut
         at_x = []  # (atom id, trie node) per atom on x; x is the next level of each
         guards = []
@@ -302,11 +301,11 @@ class BinCodec:
 
     Each variable ``x`` becomes ``bits`` fresh variables ``x^1 .. x^b``
     where ``x^i`` carries bit ``i - 1`` of the value's 0-based rank, so
-    ``x^1`` is the least significant bit.  The tables are built once per
-    codec: ``codes`` maps each value to its bits, ``values`` maps bits
-    back, and ``bit_names`` gives each variable's bit variables, least
-    significant first.  ``values_msb`` maps bits back most significant
-    first, the order a significance order lists a variable's bits in.
+    ``x^1`` is the least significant bit.  ``codes`` (value to bits) and
+    ``bit_names`` list bits least significant first, as binarized rows
+    and atoms do; ``values``, the one decode table, reads them back most
+    significant first, as a significance order lists them.  Too few bits
+    for the domain raise ``ValueError``.
     """
 
     source_domain: Domain
@@ -314,33 +313,22 @@ class BinCodec:
     variables: tuple[str, ...]
     codes: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
     values: dict[tuple[str, ...], str] = field(init=False, compare=False, repr=False)
-    values_msb: dict[tuple[str, ...], str] = field(init=False, compare=False, repr=False)
     bit_names: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.bits < 1 or 1 << self.bits < len(self.source_domain):
+            raise ValueError(f"a {self.bits}-bit width cannot encode a {len(self.source_domain)}-value domain")
         codes = {value: _bits(code, self.bits) for code, value in enumerate(self.source_domain.values)}
         object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "values", {bits: value for value, bits in codes.items()})
-        object.__setattr__(self, "values_msb", {bits[::-1]: value for value, bits in codes.items()})
+        object.__setattr__(self, "values", {bits[::-1]: value for value, bits in codes.items()})
         names = {var: tuple(f"{var}^{i}" for i in range(1, self.bits + 1)) for var in self.variables}
         object.__setattr__(self, "bit_names", names)
-
-    def encode_value(self, value: str) -> tuple[str, ...]:
-        return self.codes[value]
-
-    def decode_value(self, bits_lsb: tuple[str, ...]) -> str:
-        value = self.values.get(tuple(bits_lsb))
-        if value is None:
-            raise RankOutOfDomainError(
-                f"bit pattern {''.join(reversed(bits_lsb))} is no value of a {len(self.source_domain)}-value domain"
-            )
-        return value
 
     def encode_assignment(self, tau: Mapping[str, str]) -> Assignment:
         """The bits of ``tau``, whose variables and values ``access.Provider`` has checked."""
         out: dict[str, str] = {}
         for var, value in tau.items():
-            out.update(zip(self.bit_names[var], self.encode_value(value)))
+            out.update(zip(self.bit_names[var], self.codes[value]))
         return Assignment(out)
 
 
@@ -413,16 +401,24 @@ def binarize(
 
 
 def debin_tuple(t: Mapping[str, str], codec: BinCodec) -> Assignment:
-    """Collapse a tuple over bit variables back onto the source domain."""
+    """Collapse a tuple over bit variables back onto the source domain.
+
+    Reads each variable's bits most significant first through ``codec.values``.
+    """
     out: dict[str, str] = {}
     for var, names in codec.bit_names.items():
         try:
-            bits = tuple([t[n] for n in names])
+            bits = tuple([t[n] for n in reversed(names)])
         except KeyError:
             if any(n in t for n in names):
                 raise ValueError(f"tuple covers only some bits of {var}") from None
             continue
-        out[var] = codec.decode_value(bits)
+        value = codec.values.get(bits)
+        if value is None:
+            raise RankOutOfDomainError(
+                f"bit pattern {''.join(bits)} is no value of a {len(codec.source_domain)}-value domain"
+            )
+        out[var] = value
     return Assignment(out)
 
 

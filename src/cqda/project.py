@@ -88,13 +88,13 @@ class CircuitEngine(acc.Provider):
         return debin_tuple(raw, self.codec)
 
     def _answers(self, ks: range) -> Iterator[Assignment]:
-        """One ``access.walk`` over the window.  A bit tuple holds each variable's bits as one
-        contiguous block, most significant first, which decodes through ``codec.values_msb``."""
+        """One ``access.walk`` over the window.  ``binarize`` lays answer variable ``i``'s bits out at
+        positions ``i*bits .. (i+1)*bits``, most significant first, which decode through ``codec.values``."""
         names, tuples = self.universe.vars, acc.walk(self.circuit, self.index, ks.start, ks.stop)
         if self.codec is None:
             return (Assignment(zip(names, t)) for t in tuples)
-        position, decode, width = self.circuit.universe.position, self.codec.values_msb, self.codec.bits
-        blocks = [slice(at, at + width) for at in (position(self.codec.bit_names[v][-1]) for v in names)]
+        decode, width = self.codec.values, self.codec.bits
+        blocks = [slice(at, at + width) for at in range(0, len(names) * width, width)]
         return (Assignment(zip(names, [decode[t[b]] for b in blocks])) for t in tuples)
 
     def _rank_of(self, t: Mapping[str, str]) -> int:

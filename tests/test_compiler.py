@@ -157,12 +157,13 @@ def test_debin_examples():
     dom = Domain(("a", "b", "c"))
     codec = BinCodec(dom, 2, ("x",))
     assert debin_tuple({"x^1": "0", "x^2": "0"}, codec) == Assignment({"x": "a"})
+    assert debin_tuple({"x^1": "1", "x^2": "0"}, codec) == Assignment({"x": "b"})
     assert debin_tuple({"x^1": "0", "x^2": "1"}, codec) == Assignment({"x": "c"})
-    with pytest.raises(RankOutOfDomainError):
+    # the message spells the pattern most significant bit first
+    with pytest.raises(RankOutOfDomainError, match="^bit pattern 11 is no value of a 3-value domain$"):
         debin_tuple({"x^1": "1", "x^2": "1"}, codec)
     for value in dom.values:
-        bits = codec.encode_value(value)
-        assert codec.decode_value(bits) == value
+        assert debin_tuple(codec.encode_assignment({"x": value}), codec) == Assignment({"x": value})
     with pytest.raises(ValueError, match="only some bits"):
         debin_tuple({"x^1": "0"}, codec)
     assert debin_tuple({"y^1": "0"}, codec) == Assignment({})
@@ -170,16 +171,49 @@ def test_debin_examples():
 
 def test_codec_tables():
     codec = BinCodec(Domain(("a", "b", "c")), 2, ("x", "y"))
+    # bit names and codes list bits least significant first, the one decode table most significant first
     assert codec.bit_names == {"x": ("x^1", "x^2"), "y": ("y^1", "y^2")}
-    assert codec.values == {("0", "0"): "a", ("1", "0"): "b", ("0", "1"): "c"}
-    assert codec.values_msb == {("0", "0"): "a", ("0", "1"): "b", ("1", "0"): "c"}
+    assert codec.codes == {"a": ("0", "0"), "b": ("1", "0"), "c": ("0", "1")}
+    assert codec.values == {("0", "0"): "a", ("0", "1"): "b", ("1", "0"): "c"}
     assert codec.encode_assignment({"x": "b", "y": "c"}) == Assignment(
         {"x^1": "1", "x^2": "0", "y^1": "0", "y^2": "1"}
     )
     with pytest.raises(KeyError):
         codec.encode_assignment({"z": "a"})
-    with pytest.raises(RankOutOfDomainError):
-        codec.decode_value(("1", "1"))
+
+
+def test_codec_rejects_a_width_that_cannot_encode_its_domain():
+    # one bit would give a and c the same code
+    with pytest.raises(ValueError, match="^a 1-bit width cannot encode a 3-value domain$"):
+        BinCodec(Domain(("a", "b", "c")), 1, ("x",))
+    with pytest.raises(ValueError, match="0-bit width"):
+        BinCodec(Domain(("a",)), 0, ("x",))
+    assert len(BinCodec(Domain(("a", "b", "c", "d")), 2, ("x",)).values) == 4
+    assert len(BinCodec(Domain(("a", "b")), 3, ("x",)).values) == 2
+
+
+@pytest.mark.parametrize("size", range(1, 10))
+def test_one_decode_table_over_domain_sizes(size):
+    dom = Domain(tuple(f"v{i}" for i in range(size)))
+    codec = BinCodec(dom, bits_needed(size), ("x",))
+    b, names = codec.bits, codec.bit_names["x"]
+    # values inverts codes read most significant first, and the pattern is the value's 0-based rank
+    assert len(codec.values) == size
+    assert codec.values == {bits[::-1]: value for value, bits in codec.codes.items()}
+    assert all(int("".join(bits), 2) == dom.rank(value) - 1 for bits, value in codec.values.items())
+    for code in range(size, 1 << b):
+        msb = format(code, f"0{b}b")
+        with pytest.raises(RankOutOfDomainError):
+            debin_tuple(dict(zip(reversed(names), msb)), codec)
+    # the circuit universe lists each answer variable's bits most significant first, in answer order;
+    # CircuitEngine._answers cuts answer variable i at positions i*b .. (i+1)*b
+    rel = Relation.from_rows(("c0", "c1"), [(dom.values[0], dom.values[-1])])
+    db = Database(dom, {"R": rel, "S": rel})
+    significance = VarOrder(("y", "x", "z"))
+    for head, answer in (("*", ("y", "x", "z")), ("x, y", ("y", "x"))):
+        q = parse_query(f"Q({head}) :- R(x, y), !S(y, z).")
+        circuit, codec, _ = compile_binarized(q, db, significance.reversed())
+        assert circuit.universe.vars == tuple(bit for v in answer for bit in reversed(codec.bit_names[v]))
 
 
 def test_compile_binarized_inequality_count():
@@ -383,13 +417,15 @@ def _checked_calls(q, db, order, with_values: bool) -> None:
     calls = []
 
     def checked(call, nodes):
-        comp, bound, x, on_x = call
+        comp, x, on_x = call
+        # the bound variables are the component's variables above x; the plan entry does not list them
+        bound = {v for aid in comp for v in q.atoms[aid].args if order.position(v) < order.position(x)}
         tau = {}
         for aid in comp:
             levels = layouts[aid][1]
             path = path_of[aid, id(nodes[aid])]
             # the atom's node lies below exactly its bound variables, which are a prefix of its levels
-            assert set(levels[: len(path)]) == set(levels) & set(bound)
+            assert set(levels[: len(path)]) == set(levels) & bound
             if with_values:
                 for var, d in zip(levels, path):
                     assert tau.setdefault(var, d) == d
